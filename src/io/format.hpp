@@ -150,19 +150,11 @@ struct QcgHeader {
   std::int64_t in_channels = 0;  ///< expected input extent; 0 = unrecorded
   std::int64_t in_h = 0;
   std::int64_t in_w = 0;
-  std::uint32_t payload_crc32 = 0;  ///< over [nodes_offset, file_size)
+  /// CRC-32C (common/crc32.hpp) over [nodes_offset, file_size).
+  std::uint32_t payload_crc32 = 0;
   std::uint32_t header_crc32 = 0;   ///< over the first 124 header bytes
 };
 static_assert(sizeof(QcgHeader) == 128);
 static_assert(std::is_trivially_copyable_v<QcgHeader>);
-
-/// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78). `seed` chains
-/// calls. Chosen over IEEE CRC-32 because x86's SSE4.2 crc32 instruction
-/// implements exactly this polynomial: the payload scan is the dominant
-/// cost of a cold-start load, and the hardware path keeps it out of the
-/// critical path entirely. The software fallback (slice-by-8) computes
-/// identical values, so the format does not depend on the instruction.
-std::uint32_t crc32(const void* data, std::size_t size,
-                    std::uint32_t seed = 0);
 
 }  // namespace qcaps::io

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 
 #include "common/logging.hpp"
 #include "nn/serialize.hpp"
@@ -16,12 +17,22 @@ std::string model_cache_dir() {
 }
 
 namespace {
-TrainedModel finish(std::unique_ptr<nn::Network> net,
+// Loads the cached parameters into a freshly built network, or trains one
+// and caches it. A cache file that cannot be loaded (an older format, a
+// flipped bit, a truncated write) is a miss: the model is rebuilt from its
+// initial seed, retrained, and the file atomically replaced.
+TrainedModel finish(const std::function<std::unique_ptr<nn::Network>()>& build,
                     const data::DataSplit& split, const std::string& path,
                     const nn::TrainConfig& train_cfg) {
   TrainedModel out;
-  if (nn::load_params(*net, path)) {
-    out.from_cache = true;
+  auto net = build();
+  try {
+    out.from_cache = nn::load_params(*net, path);
+  } catch (const nn::CheckpointError& e) {
+    QCAPS_WARN << "discarding unusable model cache: " << e.what();
+    net = build();
+  }
+  if (out.from_cache) {
     out.fp32_accuracy = nn::evaluate(*net, split.test);
     QCAPS_INFO << net->name() << " loaded from cache (" << path
                << "), FP32 accuracy " << out.fp32_accuracy * 100.0f << "%";
@@ -44,11 +55,14 @@ TrainedModel get_trained_shallow_caps(const data::DataSplit& split,
   auto cfg = ShallowCapsConfig::experiment();
   cfg.in_channels = split.train.channels();
   cfg.in_size = split.train.height();
-  common::Rng rng(init_seed);
-  auto net = build_shallow_caps(cfg, rng);
   const std::string path = model_cache_dir() + "/shallowcaps_" + dataset_tag +
                            "_s" + std::to_string(init_seed) + ".bin";
-  return finish(std::move(net), split, path, train_cfg);
+  return finish(
+      [&] {
+        common::Rng rng(init_seed);
+        return build_shallow_caps(cfg, rng);
+      },
+      split, path, train_cfg);
 }
 
 TrainedModel get_trained_deep_caps(const data::DataSplit& split,
@@ -57,11 +71,14 @@ TrainedModel get_trained_deep_caps(const data::DataSplit& split,
                                    std::uint64_t init_seed) {
   auto cfg = DeepCapsConfig::experiment(split.train.height(),
                                         split.train.channels());
-  common::Rng rng(init_seed);
-  auto net = build_deep_caps(cfg, rng);
   const std::string path = model_cache_dir() + "/deepcaps_" + dataset_tag +
                            "_s" + std::to_string(init_seed) + ".bin";
-  return finish(std::move(net), split, path, train_cfg);
+  return finish(
+      [&] {
+        common::Rng rng(init_seed);
+        return build_deep_caps(cfg, rng);
+      },
+      split, path, train_cfg);
 }
 
 }  // namespace qcaps::models

@@ -2,15 +2,15 @@
 // calibrated core::NetworkQuantSpec into a flat list of integer ops, then run
 // batched [B, ...] forwards end-to-end in fixed-point arithmetic.
 //
-// This is the reusable layer underneath the per-family deployment classes
-// (QuantizedShallowCaps, QuantizedDeepCaps): instead of a hand-rolled layer
-// sequence per architecture, the compiler walks the trained network once,
-// quantizes every weight into a QTensor (folding eval-mode batch-norm into
-// the preceding convolution), builds the persistent packed-operand caches the
-// qgemm backend consumes, and emits QuantizedOp nodes that the interpreter
-// executes with the operators of src/qengine. A compiled graph is a value
-// type: copies carry their own packed weight caches, which is exactly what
-// the serving worker-pool replication wants. The one deliberately shared
+// Both model families of the paper deploy through it directly: instead of a
+// hand-rolled layer sequence per architecture, the compiler walks the
+// trained network once, quantizes every weight into a QTensor (folding
+// eval-mode batch-norm into the preceding convolution), builds the
+// persistent packed-operand caches the qgemm backend consumes, and emits
+// QuantizedOp nodes that the interpreter executes with the operators of
+// src/qengine. A compiled graph is a value type: copies carry their own
+// packed weight caches, which is exactly what the serving worker-pool
+// replication wants. The one deliberately shared
 // piece of state is the saturation-counter block: copies of one compiled
 // graph aggregate their requant-saturation counts into a single set of
 // atomics, so a pool of per-worker replicas reports one coherent per-node

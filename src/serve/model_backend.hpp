@@ -79,7 +79,7 @@ class QuantizedBackend final : public ModelBackend {
   QuantizedBackend(std::string name, nn::Network& net,
                    const core::NetworkQuantSpec& spec);
 
-  /// Wrap an already-compiled executor (e.g. QuantizedDeepCaps::graph()).
+  /// Wrap an already-compiled executor (e.g. one io::load_graph mapped).
   QuantizedBackend(std::string name, qengine::QuantizedGraph model);
 
   const std::string& name() const override { return name_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -11,8 +10,7 @@
 #include <omp.h>
 #endif
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(QCAPS_CAPS_DISABLE_NATIVE)
-#define QCAPS_CAPS_X86_NATIVE 1
+#ifdef QCAPS_X86_NATIVE
 #include <immintrin.h>
 #endif
 
@@ -342,7 +340,7 @@ void gain_n(const std::int64_t* nsq, std::int64_t* gain, std::int64_t n,
 
 }  // namespace scalar
 
-#ifdef QCAPS_CAPS_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 
 // ---- AVX2+FMA tier ---------------------------------------------------------
 
@@ -1563,7 +1561,7 @@ __attribute__((target("avx512f"))) void gain_n(const std::int64_t* nsq,
 
 }  // namespace avx512
 
-#endif  // QCAPS_CAPS_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 // ---- dispatch --------------------------------------------------------------
 
@@ -1592,91 +1590,50 @@ struct OpsTable {
   void (*squash_bwd)(const float*, const float*, float*, std::int64_t, float,
                      std::int64_t, std::int64_t);
   void (*gain_n)(const std::int64_t*, std::int64_t*, std::int64_t, int);
-  CapsKernel tier;
+  Isa tier;
 };
 
-bool tier_supported(CapsKernel k) {
+// The best table at or below tier `k` (there is no VNNI caps kernel).
+OpsTable make_table(Isa k) {
   switch (k) {
-    case CapsKernel::kScalar:
-      return true;
-#ifdef QCAPS_CAPS_X86_NATIVE
-    case CapsKernel::kAvx2:
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-    case CapsKernel::kAvx512:
-      return __builtin_cpu_supports("avx512f");
-#else
-    case CapsKernel::kAvx2:
-    case CapsKernel::kAvx512:
-      return false;
-#endif
-  }
-  return false;
-}
-
-OpsTable make_table(CapsKernel k) {
-  switch (k) {
-#ifdef QCAPS_CAPS_X86_NATIVE
-    case CapsKernel::kAvx512:
+#ifdef QCAPS_X86_NATIVE
+    case Isa::kAvx512Vnni:
+    case Isa::kAvx512:
       return {avx512::ws,        avx512::ws_squash,  avx512::agree,
               avx512::iter_fused, avx512::ws_bwd,     avx512::agree_bwd,
               avx512::softmax,    avx512::softmax_t,  avx512::squash,
-              avx512::squash_bwd, avx512::gain_n,     CapsKernel::kAvx512};
-    case CapsKernel::kAvx2:
+              avx512::squash_bwd, avx512::gain_n,     Isa::kAvx512};
+    case Isa::kAvx2:
       return {avx2::ws,        avx2::ws_squash,  avx2::agree,
               avx2::iter_fused, avx2::ws_bwd,     avx2::agree_bwd,
               avx2::softmax,    avx2::softmax_t,  avx2::squash,
-              avx2::squash_bwd, avx2::gain_n,     CapsKernel::kAvx2};
-#else
-    case CapsKernel::kAvx512:
-    case CapsKernel::kAvx2:
+              avx2::squash_bwd, avx2::gain_n,     Isa::kAvx2};
 #endif
-    case CapsKernel::kScalar:
+    default:
       break;
   }
   return {scalar::ws,        scalar::ws_squash,  scalar::agree,
           scalar::iter_fused, scalar::ws_bwd,     scalar::agree_bwd,
           scalar::softmax,    scalar::softmax_t,  scalar::squash,
-          scalar::squash_bwd, scalar::gain_n,     CapsKernel::kScalar};
+          scalar::squash_bwd, scalar::gain_n,     Isa::kScalar};
 }
 
-OpsTable pick_default() {
-  CapsKernel best = CapsKernel::kScalar;
-  const char* env = std::getenv("QCAPS_CAPS_NATIVE");
-  const bool env_off = env && std::strcmp(env, "0") == 0;
-  const bool cap_avx2 = env && std::strcmp(env, "avx2") == 0;
-  if (!env_off) {
-    if (!cap_avx2 && tier_supported(CapsKernel::kAvx512))
-      best = CapsKernel::kAvx512;
-    else if (tier_supported(CapsKernel::kAvx2))
-      best = CapsKernel::kAvx2;
-  }
-  return make_table(best);
-}
-
-OpsTable g_ops = pick_default();
+OpsTable g_ops = make_table(isa_default());
 
 }  // namespace
 
-CapsKernel caps_kernel() { return g_ops.tier; }
+Isa caps_kernel() { return g_ops.tier; }
 
-const char* caps_kernel_name() {
-  switch (g_ops.tier) {
-    case CapsKernel::kScalar: return "scalar";
-    case CapsKernel::kAvx2: return "avx2";
-    case CapsKernel::kAvx512: return "avx512";
-  }
-  return "?";
-}
+const char* caps_kernel_name() { return isa_name(g_ops.tier); }
 
-bool caps_native_active() { return g_ops.tier != CapsKernel::kScalar; }
-
-bool caps_force_kernel(CapsKernel k) {
-  if (!tier_supported(k)) return false;
-  g_ops = make_table(k);
+bool caps_force_kernel(Isa k) {
+  const OpsTable t = make_table(k);
+  if (!isa_supported(k) || t.tier != k) return false;
+  g_ops = t;
   return true;
 }
 
-void caps_reset_kernel() { g_ops = pick_default(); }
+void caps_reset_kernel() { g_ops = make_table(isa_default()); }
 
 void routing_weighted_sum(const float* u, const float* c, float* s,
                           std::int64_t r, std::int64_t nin, std::int64_t nout,

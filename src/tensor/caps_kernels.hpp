@@ -26,27 +26,25 @@
 // two steps (paper Fig. 9 places QDR right before the squash, in which case
 // the caller quantizes the materialized s and squashes separately).
 //
-// Tier selection mirrors the gemm/qgemm backends: picked once from CPUID,
-// overridable with QCAPS_CAPS_NATIVE=0 (force scalar) or =avx2 (cap the
-// tier) in the environment, and forceable from tests via caps_force_kernel.
+// The tier follows the shared kernel-tier ladder of isa.hpp, like the
+// gemm/qgemm backends: picked once from CPUID, capped by QCAPS_ISA, and
+// forceable from tests via caps_force_kernel.
 #pragma once
 
 #include <cstdint>
 
+#include "tensor/isa.hpp"
+
 namespace qcaps::tensor {
 
-/// Microkernel tiers, simplest first.
-enum class CapsKernel { kScalar, kAvx2, kAvx512 };
-
-/// The active tier.
-CapsKernel caps_kernel();
+/// The active tier (kScalar, kAvx2 or kAvx512).
+Isa caps_kernel();
 /// Name of the active tier ("scalar", "avx2", "avx512").
 const char* caps_kernel_name();
-/// True when a vector (AVX2 or AVX-512) tier is active.
-bool caps_native_active();
 /// Test seam: force a specific tier. Returns false (and changes nothing)
-/// when that tier is unsupported on this CPU/build.
-bool caps_force_kernel(CapsKernel k);
+/// when that tier is unsupported on this CPU/build or has no caps kernel
+/// (kAvx512Vnni).
+bool caps_force_kernel(Isa k);
 /// Undo caps_force_kernel.
 void caps_reset_kernel();
 

@@ -1,16 +1,13 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(QCAPS_GEMM_DISABLE_NATIVE)
-#define QCAPS_GEMM_X86_NATIVE 1
+#ifdef QCAPS_X86_NATIVE
 #include <immintrin.h>
 #endif
 
@@ -114,7 +111,7 @@ void kernel_scalar(std::int64_t kc, const float* ap, const float* bp,
   std::copy(t, t + MR * NR, acc);
 }
 
-#ifdef QCAPS_GEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 __attribute__((target("avx2,fma"))) void kernel_avx2(std::int64_t kc,
                                                      const float* ap,
                                                      const float* bp,
@@ -195,65 +192,32 @@ __attribute__((target("avx512f"))) void kernel_avx512(std::int64_t kc,
   _mm512_storeu_ps(acc + 4 * NR, r4);
   _mm512_storeu_ps(acc + 5 * NR, r5);
 }
-#endif  // QCAPS_GEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 using KernelFn = void (*)(std::int64_t, const float*, const float*, float*);
 
 struct KernelChoice {
   KernelFn fn;
-  GemmKernel tier;
+  Isa tier;
 };
 
-bool tier_supported(GemmKernel k) {
+// The best kernel at or below tier `k` (there is no VNNI fp32 kernel).
+KernelChoice make_choice(Isa k) {
   switch (k) {
-    case GemmKernel::kScalar:
-      return true;
-#ifdef QCAPS_GEMM_X86_NATIVE
-    case GemmKernel::kAvx2:
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-    case GemmKernel::kAvx512:
-      return __builtin_cpu_supports("avx512f");
-#else
-    case GemmKernel::kAvx2:
-    case GemmKernel::kAvx512:
-      return false;
+#ifdef QCAPS_X86_NATIVE
+    case Isa::kAvx512Vnni:
+    case Isa::kAvx512:
+      return {kernel_avx512, Isa::kAvx512};
+    case Isa::kAvx2:
+      return {kernel_avx2, Isa::kAvx2};
 #endif
-  }
-  return false;
-}
-
-KernelChoice make_choice(GemmKernel k) {
-  switch (k) {
-#ifdef QCAPS_GEMM_X86_NATIVE
-    case GemmKernel::kAvx512:
-      return {kernel_avx512, GemmKernel::kAvx512};
-    case GemmKernel::kAvx2:
-      return {kernel_avx2, GemmKernel::kAvx2};
-#else
-    case GemmKernel::kAvx512:
-    case GemmKernel::kAvx2:
-#endif
-    case GemmKernel::kScalar:
+    default:
       break;
   }
-  return {kernel_scalar, GemmKernel::kScalar};
+  return {kernel_scalar, Isa::kScalar};
 }
 
-KernelChoice pick_default() {
-  GemmKernel best = GemmKernel::kScalar;
-  const char* env = std::getenv("QCAPS_GEMM_NATIVE");
-  const bool env_off = env && std::strcmp(env, "0") == 0;
-  const bool cap_avx2 = env && std::strcmp(env, "avx2") == 0;
-  if (!env_off) {
-    if (!cap_avx2 && tier_supported(GemmKernel::kAvx512))
-      best = GemmKernel::kAvx512;
-    else if (tier_supported(GemmKernel::kAvx2))
-      best = GemmKernel::kAvx2;
-  }
-  return make_choice(best);
-}
-
-KernelChoice g_choice = pick_default();
+KernelChoice g_choice = make_choice(isa_default());
 
 void write_tile(const float* t, float* c, std::int64_t ldc, std::int64_t mr,
                 std::int64_t nr, bool accumulate) {
@@ -464,25 +428,17 @@ void gemm_pack_b(std::int64_t m, std::int64_t n, std::int64_t k,
   gemm_serial(Trans::kN, m, n, k, a, lda, pack_b, c, ldc, accumulate);
 }
 
-GemmKernel gemm_kernel() { return g_choice.tier; }
+Isa gemm_kernel() { return g_choice.tier; }
 
-const char* gemm_kernel_name() {
-  switch (g_choice.tier) {
-    case GemmKernel::kScalar: return "scalar";
-    case GemmKernel::kAvx2: return "avx2";
-    case GemmKernel::kAvx512: return "avx512";
-  }
-  return "?";
-}
+const char* gemm_kernel_name() { return isa_name(g_choice.tier); }
 
-bool gemm_native_active() { return g_choice.tier != GemmKernel::kScalar; }
-
-bool gemm_force_kernel(GemmKernel k) {
-  if (!tier_supported(k)) return false;
-  g_choice = make_choice(k);
+bool gemm_force_kernel(Isa k) {
+  const KernelChoice c = make_choice(k);
+  if (!isa_supported(k) || c.tier != k) return false;
+  g_choice = c;
   return true;
 }
 
-void gemm_reset_kernel() { g_choice = pick_default(); }
+void gemm_reset_kernel() { g_choice = make_choice(isa_default()); }
 
 }  // namespace qcaps::tensor

@@ -13,11 +13,10 @@
 //     microkernel. On x86 a runtime-dispatched vector microkernel is used
 //     when the CPU supports it — an AVX-512F tier (the 16-wide tile row is
 //     one zmm vector, halving the FMA count per k-step) above the AVX2+FMA
-//     tier. Disable with QCAPS_GEMM_NATIVE=0 in the environment (or
-//     -DQCAPS_GEMM_NATIVE=OFF at configure time), cap at the AVX2 tier with
-//     QCAPS_GEMM_NATIVE=avx2; everywhere else a portable auto-vectorizable
-//     scalar microkernel runs. The AVX-512 and AVX2 tiers are bit-identical
-//     (each output lane runs the same FMA sequence).
+//     tier; everywhere else a portable auto-vectorizable scalar microkernel
+//     runs. The tier follows the shared kernel-tier ladder of isa.hpp
+//     (QCAPS_ISA cap, -DQCAPS_NATIVE_KERNELS=OFF). The AVX-512 and AVX2
+//     tiers are bit-identical (each output lane runs the same FMA sequence).
 //
 // Matrices are row-major. `lda/ldb/ldc` are leading dimensions (row strides)
 // of the *stored* matrices, which lets callers run GEMM on strided
@@ -28,6 +27,8 @@
 
 #include <cstdint>
 #include <functional>
+
+#include "tensor/isa.hpp"
 
 namespace qcaps::tensor {
 
@@ -97,21 +98,17 @@ void gemm_scatter_c(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                     std::int64_t k, const float* a, std::int64_t lda,
                     const float* b, std::int64_t ldb, const ScatterCFn& scatter);
 
-/// Microkernel tiers, simplest first (mirrors the qgemm backend).
-enum class GemmKernel { kScalar, kAvx2, kAvx512 };
-
-/// The active microkernel tier.
-GemmKernel gemm_kernel();
+/// The active microkernel tier (kScalar, kAvx2 or kAvx512).
+Isa gemm_kernel();
 /// Name of the active tier ("scalar", "avx2", "avx512").
 const char* gemm_kernel_name();
-/// True when a vector (AVX2 or AVX-512) microkernel is active.
-bool gemm_native_active();
 
 /// Test seam: force a specific tier. Returns false (and changes nothing)
-/// when that tier is unsupported on this CPU/build. Like the qgemm seam,
-/// this mutates the global dispatch without synchronization — call only
-/// from single-threaded test setup, never while other threads run GEMMs.
-bool gemm_force_kernel(GemmKernel k);
+/// when that tier is unsupported on this CPU/build or has no fp32 kernel
+/// (kAvx512Vnni). Like the qgemm seam, this mutates the global dispatch
+/// without synchronization — call only from single-threaded test setup,
+/// never while other threads run GEMMs.
+bool gemm_force_kernel(Isa k);
 /// Undo gemm_force_kernel (same single-threaded contract).
 void gemm_reset_kernel();
 

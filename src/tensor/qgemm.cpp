@@ -1,7 +1,6 @@
 #include "tensor/qgemm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <type_traits>
 #include <vector>
@@ -12,8 +11,7 @@
 #include <omp.h>
 #endif
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(QCAPS_QGEMM_DISABLE_NATIVE)
-#define QCAPS_QGEMM_X86_NATIVE 1
+#ifdef QCAPS_X86_NATIVE
 #include <immintrin.h>
 #endif
 
@@ -50,7 +48,7 @@ Scratch& scratch() {
   return s;
 }
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 Scratch& scratch_vnni() {
   Scratch& s = scratch();
   if (s.a8.empty()) {
@@ -196,7 +194,7 @@ void kernel_scalar_q(std::int64_t kc2, const std::int16_t* ap,
   merge_tile(t32, c, ldc, mr, nr, accumulate);
 }
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 
 // Broadcast one packed (a_2p, a_2p+1) int16 pair into every 32-bit lane.
 inline std::int32_t load_pair(const std::int16_t* p) {
@@ -605,7 +603,7 @@ kernel_avx512vnni_q16(std::int64_t kc2, const std::int16_t* ap,
   QCAPS_QGEMM_MERGE_ROW512(5, r5);
 #undef QCAPS_QGEMM_MERGE_ROW512
 }
-#endif  // QCAPS_QGEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 using KernelFn = void (*)(std::int64_t kc2, const std::int16_t* ap,
                           const std::int16_t* bp, std::int32_t* c,
@@ -614,74 +612,28 @@ using KernelFn = void (*)(std::int64_t kc2, const std::int16_t* ap,
 
 struct KernelChoice {
   KernelFn fn;
-  QGemmKernel tier;
+  Isa tier;
 };
 
-bool tier_supported(QGemmKernel k) {
+KernelChoice make_choice(Isa k) {
   switch (k) {
-    case QGemmKernel::kScalar:
-      return true;
-#ifdef QCAPS_QGEMM_X86_NATIVE
-    case QGemmKernel::kAvx2:
-      return __builtin_cpu_supports("avx2");
-    case QGemmKernel::kAvx512:
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw");
-    case QGemmKernel::kAvx512Vnni:
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vnni");
-#else
-    case QGemmKernel::kAvx2:
-    case QGemmKernel::kAvx512:
-    case QGemmKernel::kAvx512Vnni:
-      return false;
-#endif
-  }
-  return false;
-}
-
-KernelChoice make_choice(QGemmKernel k) {
-  switch (k) {
-#ifdef QCAPS_QGEMM_X86_NATIVE
-    case QGemmKernel::kAvx512Vnni:
+#ifdef QCAPS_X86_NATIVE
+    case Isa::kAvx512Vnni:
       // The int16-panel kernel; the int8 path routes to the dedicated
       // narrow-operand driver in qgemm_i32_impl.
-      return {kernel_avx512vnni_q16, QGemmKernel::kAvx512Vnni};
-    case QGemmKernel::kAvx512:
-      return {kernel_avx512_q, QGemmKernel::kAvx512};
-    case QGemmKernel::kAvx2:
-      return {kernel_avx2_q, QGemmKernel::kAvx2};
-#else
-    case QGemmKernel::kAvx512Vnni:
-    case QGemmKernel::kAvx512:
-    case QGemmKernel::kAvx2:
+      return {kernel_avx512vnni_q16, Isa::kAvx512Vnni};
+    case Isa::kAvx512:
+      return {kernel_avx512_q, Isa::kAvx512};
+    case Isa::kAvx2:
+      return {kernel_avx2_q, Isa::kAvx2};
 #endif
-    case QGemmKernel::kScalar:
+    default:
       break;
   }
-  return {kernel_scalar_q, QGemmKernel::kScalar};
+  return {kernel_scalar_q, Isa::kScalar};
 }
 
-KernelChoice pick_default() {
-  QGemmKernel best = QGemmKernel::kScalar;
-  const char* env = std::getenv("QCAPS_QGEMM_NATIVE");
-  const bool env_off = env && std::strcmp(env, "0") == 0;
-  const bool cap_avx2 = env && std::strcmp(env, "avx2") == 0;
-  const bool cap_avx512 = env && std::strcmp(env, "avx512") == 0;
-  if (!env_off) {
-    if (!cap_avx2 && !cap_avx512 &&
-        tier_supported(QGemmKernel::kAvx512Vnni))
-      best = QGemmKernel::kAvx512Vnni;
-    else if (!cap_avx2 && tier_supported(QGemmKernel::kAvx512))
-      best = QGemmKernel::kAvx512;
-    else if (tier_supported(QGemmKernel::kAvx2))
-      best = QGemmKernel::kAvx2;
-  }
-  return make_choice(best);
-}
-
-KernelChoice g_choice = pick_default();
+KernelChoice g_choice = make_choice(isa_default());
 
 // Single-threaded blocked driver, structured exactly like gemm_serial in the
 // float backend. `pack_b(p0, kc, j0, nc, out)` fills the packed B panels for
@@ -732,7 +684,7 @@ bool want_parallel(std::int64_t work) {
 }
 #endif
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 // Blocked driver for the VNNI int8 tier: same loop structure as
 // qgemm_serial, narrow panels, vpdpbusd microkernel.
 template <typename PackB>
@@ -845,16 +797,16 @@ void qgemm_i32_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
           static_cast<std::int32_t>(static_cast<std::uint32_t>(row[j]) - off);
   }
 }
-#endif  // QCAPS_QGEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 template <typename SrcT>
 void qgemm_i32_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                     std::int64_t k, const SrcT* a, std::int64_t lda,
                     const SrcT* b, std::int64_t ldb, std::int32_t* c,
                     std::int64_t ldc, bool accumulate) {
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
   if constexpr (std::is_same_v<SrcT, std::int8_t>) {
-    if (g_choice.tier == QGemmKernel::kAvx512Vnni) {
+    if (g_choice.tier == Isa::kAvx512Vnni) {
       qgemm_i32_vnni(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
       return;
     }
@@ -975,7 +927,7 @@ std::vector<std::int64_t> op_b_col_sums(Trans tb, std::int64_t k,
   return sums;
 }
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 // Vectorized row requantization for the common case (no per-column
 // compensation): 8 accumulators per iteration through vpmuldq (the sign
 // behaviour matches the scalar requant_one exactly — the low 32 bits of the
@@ -1018,7 +970,7 @@ __attribute__((target("avx512f"))) void requant_row_avx512(
     row[j] = requant_one(row[j] + base, mult, total - 30, c_zero, qmin, qmax);
 }
 #pragma GCC diagnostic pop
-#endif  // QCAPS_QGEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 // In-place requantization of the raw int32 accumulators in C, including the
 // zero-point compensation terms:
@@ -1029,15 +981,15 @@ void requant_pass(std::int32_t* c, std::int64_t ldc, std::int64_t m,
                   const std::int64_t* rowsum, const std::int64_t* colsum) {
   const std::int64_t zz =
       static_cast<std::int64_t>(rq.a_zero) * rq.b_zero * k;
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
   // The vector path reads each compensated accumulator from the low 32 bits
   // of its lane (vpmuldq), which is exact only while |acc + base| < 2^31.
   // Without bias that follows from the caller's no-wrap bound on the
   // effective (zero-point-adjusted) operands; an arbitrary int32 bias can
   // push past it, so bias rows take the scalar path.
   const bool vector_rows = colsum == nullptr && rq.bias == nullptr &&
-                           (g_choice.tier == QGemmKernel::kAvx512 ||
-                            g_choice.tier == QGemmKernel::kAvx512Vnni);
+                           (g_choice.tier == Isa::kAvx512 ||
+                            g_choice.tier == Isa::kAvx512Vnni);
 #endif
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) if (want_parallel(m * n))
@@ -1050,7 +1002,7 @@ void requant_pass(std::int32_t* c, std::int64_t ldc, std::int64_t m,
     if (rq.bias) base += rq.bias[i];
     if (rowsum) base -= static_cast<std::int64_t>(rq.b_zero) * rowsum[i];
     std::int32_t* row = c + i * ldc;
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
     if (vector_rows) {
       requant_row_avx512(row, n, base, mult, 30 + shift, rq.c_zero, rq.qmin,
                          rq.qmax);
@@ -1306,26 +1258,16 @@ void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                            stride_b, batch, rq, sd);
 }
 
-QGemmKernel qgemm_kernel() { return g_choice.tier; }
+Isa qgemm_kernel() { return g_choice.tier; }
 
-const char* qgemm_kernel_name() {
-  switch (g_choice.tier) {
-    case QGemmKernel::kScalar: return "scalar";
-    case QGemmKernel::kAvx2: return "avx2";
-    case QGemmKernel::kAvx512: return "avx512";
-    case QGemmKernel::kAvx512Vnni: return "avx512vnni";
-  }
-  return "?";
-}
+const char* qgemm_kernel_name() { return isa_name(g_choice.tier); }
 
-bool qgemm_native_active() { return g_choice.tier != QGemmKernel::kScalar; }
-
-bool qgemm_force_kernel(QGemmKernel k) {
-  if (!tier_supported(k)) return false;
+bool qgemm_force_kernel(Isa k) {
+  if (!isa_supported(k)) return false;
   g_choice = make_choice(k);
   return true;
 }
 
-void qgemm_reset_kernel() { g_choice = pick_default(); }
+void qgemm_reset_kernel() { g_choice = make_choice(isa_default()); }
 
 }  // namespace qcaps::tensor

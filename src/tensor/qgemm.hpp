@@ -20,10 +20,10 @@
 //   - AVX2 tier: two ymm per tile row;
 //   - portable scalar fallback everywhere else.
 //
-// The tier is picked once at runtime from CPUID; QCAPS_QGEMM_NATIVE=0 in the
-// environment forces the scalar kernel, QCAPS_QGEMM_NATIVE=avx2 caps the
-// tier at AVX2 and QCAPS_QGEMM_NATIVE=avx512 caps it at the vpmaddwd
-// AVX-512BW tier (excluding VNNI).
+// The tier follows the shared kernel-tier ladder of isa.hpp: picked once
+// from CPUID, capped by QCAPS_ISA (QCAPS_ISA=avx512 stops at the vpmaddwd
+// AVX-512BW tier, excluding VNNI) and compiled out by
+// -DQCAPS_NATIVE_KERNELS=OFF.
 //
 // Accumulation is exact as long as the int32 accumulator cannot wrap:
 // sum_k |a_ik| * |b_kj| must stay below 2^31 for every output element. For
@@ -38,7 +38,7 @@
 
 #include <cstdint>
 
-#include "tensor/gemm.hpp"  // Trans
+#include "tensor/gemm.hpp"  // Trans, Isa
 
 namespace qcaps::tensor {
 
@@ -180,19 +180,14 @@ void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                          std::int64_t stride_b, std::int64_t batch,
                          const QGemmRequant& rq, const QGemmScatterDst& sd);
 
-/// Microkernel tiers, simplest first.
-enum class QGemmKernel { kScalar, kAvx2, kAvx512, kAvx512Vnni };
-
 /// The active microkernel tier.
-QGemmKernel qgemm_kernel();
+Isa qgemm_kernel();
 /// Name of the active tier ("scalar", "avx2", "avx512", "avx512vnni").
 const char* qgemm_kernel_name();
-/// True when a vector (AVX2 or AVX-512) microkernel is active.
-bool qgemm_native_active();
 
 /// Test seam: force a specific tier. Returns false (and changes nothing)
 /// when that tier is unsupported on this CPU/build.
-bool qgemm_force_kernel(QGemmKernel k);
+bool qgemm_force_kernel(Isa k);
 /// Undo qgemm_force_kernel.
 void qgemm_reset_kernel();
 

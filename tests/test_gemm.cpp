@@ -202,8 +202,7 @@ struct KernelResetGuard {
 TEST(GemmBackend, EveryKernelTierMatchesNaive) {
   const KernelResetGuard guard;
   common::Rng rng(19);
-  for (const GemmKernel tier :
-       {GemmKernel::kScalar, GemmKernel::kAvx2, GemmKernel::kAvx512}) {
+  for (const Isa tier : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
     if (!gemm_force_kernel(tier)) continue;  // unsupported on this CPU/build
     for (const Mkn& s : kShapes) {
       const Tensor a = Tensor::randn({s.m, s.k}, rng);
@@ -220,7 +219,7 @@ TEST(GemmBackend, EveryKernelTierMatchesNaive) {
 
 TEST(GemmBackend, Avx512TierBitIdenticalToAvx2) {
   const KernelResetGuard guard;
-  if (!gemm_force_kernel(GemmKernel::kAvx512))
+  if (!gemm_force_kernel(Isa::kAvx512))
     GTEST_SKIP() << "avx512f unavailable";
   common::Rng rng(23);
   const std::int64_t m = 37, k = 65, n = 51;
@@ -229,32 +228,11 @@ TEST(GemmBackend, Avx512TierBitIdenticalToAvx2) {
   Tensor c512({m, n}), c256({m, n});
   gemm_ex(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
           c512.data(), n, false);
-  ASSERT_TRUE(gemm_force_kernel(GemmKernel::kAvx2));  // implied by avx512f here
+  ASSERT_TRUE(gemm_force_kernel(Isa::kAvx2));  // implied by avx512f here
   gemm_ex(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
           c256.data(), n, false);
   for (std::int64_t i = 0; i < c512.numel(); ++i)
     ASSERT_EQ(c512[i], c256[i]) << "tier divergence at " << i;
-}
-
-TEST(GemmBackend, ForceKernelRejectsUnsupportedTierAndResets) {
-  const KernelResetGuard guard;
-  const GemmKernel active = gemm_kernel();
-  // Probe every tier: forcing an unsupported one must fail AND leave the
-  // active tier untouched (this is the rejection path on non-AVX-512 x86
-  // and on non-x86/QCAPS_GEMM_NATIVE=OFF builds).
-  for (const GemmKernel tier :
-       {GemmKernel::kScalar, GemmKernel::kAvx2, GemmKernel::kAvx512}) {
-    const bool forced = gemm_force_kernel(tier);
-    if (forced) {
-      EXPECT_EQ(gemm_kernel(), tier);
-      gemm_reset_kernel();
-    } else {
-      EXPECT_EQ(gemm_kernel(), active)
-          << "failed force must not change the active tier";
-    }
-  }
-  gemm_reset_kernel();
-  EXPECT_EQ(gemm_kernel(), active);
 }
 
 TEST(GemmBackend, DeterministicAcrossThreadCounts) {

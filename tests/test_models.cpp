@@ -3,6 +3,12 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/rng.hpp"
 #include "data/synth.hpp"
@@ -184,6 +190,62 @@ TEST(ModelCache, CapsuleNetworkParametersRoundTrip) {
   const tensor::Tensor yb = b->forward(probe, nn::Phase::kEval);
   for (std::int64_t j = 0; j < ya.numel(); ++j) ASSERT_EQ(ya[j], yb[j]);
   std::filesystem::remove(path);
+}
+
+// A cache file that cannot be loaded is a cache miss: the model is rebuilt
+// from its initial seed (not from the half-loaded damaged weights),
+// retrained, and the file replaced so the next call loads it.
+TEST(ModelCache, DamagedCacheFileIsRetrainedAndReplaced) {
+  const char* prev = std::getenv("QCAPS_MODEL_CACHE");
+  const std::string dir = "test_cache_heal_dir";
+  std::filesystem::remove_all(dir);
+  setenv("QCAPS_MODEL_CACHE", dir.c_str(), 1);
+  data::SynthConfig dcfg;
+  dcfg.train_size = 32;
+  dcfg.test_size = 16;
+  const data::DataSplit split = data::make_digits_split(dcfg);
+  nn::TrainConfig tcfg;
+  tcfg.epochs = 1;
+  tcfg.verbose = false;
+#ifdef _OPENMP
+  // Two trainings are compared bit for bit; the conv weight-gradient
+  // reduction sums per-thread partials in arrival order, which is only
+  // order-independent up to two threads.
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+
+  const TrainedModel first = get_trained_shallow_caps(split, "heal", tcfg);
+  EXPECT_FALSE(first.from_cache);
+  const std::string path = dir + "/shallowcaps_heal_s11.bin";
+  {
+    const auto mid =
+        static_cast<std::streamoff>(std::filesystem::file_size(path) / 2);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(mid);
+    const char byte = static_cast<char>(f.get());
+    f.seekp(mid);
+    f.put(static_cast<char>(byte ^ 0x01));
+  }
+  const TrainedModel healed = get_trained_shallow_caps(split, "heal", tcfg);
+  EXPECT_FALSE(healed.from_cache);
+  const auto pf = first.net->params();
+  const auto ph = healed.net->params();
+  ASSERT_EQ(pf.size(), ph.size());
+  for (std::size_t i = 0; i < pf.size(); ++i)
+    for (std::int64_t j = 0; j < pf[i]->numel(); ++j)
+      ASSERT_EQ((*pf[i])[j], (*ph[i])[j]) << "param tensor " << i;
+  EXPECT_TRUE(get_trained_shallow_caps(split, "heal", tcfg).from_cache);
+
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#endif
+  std::filesystem::remove_all(dir);
+  if (prev != nullptr) {
+    setenv("QCAPS_MODEL_CACHE", prev, 1);
+  } else {
+    unsetenv("QCAPS_MODEL_CACHE");
+  }
 }
 
 TEST(Datasets, ModelsRunOnAllThreeSynthDatasets) {

@@ -15,7 +15,7 @@
 #include "nn/trainer.hpp"
 #include "hwmodel/units.hpp"
 #include "qengine/qengine.hpp"
-#include "qengine/quantized_shallow_caps.hpp"
+#include "qengine/qgraph.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
 
@@ -49,8 +49,8 @@ QTensor matmul_ref(const QTensor& a, const QTensor& b,
   return out;
 }
 
-// The legacy vote product exactly as QuantizedShallowCaps::forward computed
-// it before the qgemm rewire (PR 2): scalar int64 loops + rescale_raw. Kept
+// The legacy vote product exactly as the ShallowCaps integer deployment
+// computed it before the qgemm rewire: scalar int64 loops + rescale_raw. Kept
 // verbatim as the regression oracle for the new qgemm_batch path.
 QTensor legacy_vote_transform(const QTensor& u, const QTensor& w,
                               fixed::FixedFormat out_fmt) {
@@ -331,7 +331,7 @@ TEST(QEngineMatmul, RejectsValuesThatWouldWrapInt64) {
 }
 
 TEST(QEngineVotes, WeightCacheMatchesUncachedPath) {
-  // The packed-weight cache QuantizedShallowCaps keeps must be a pure
+  // The packed-weight cache a compiled graph keeps must be a pure
   // optimization: identical votes with and without it, on both tiers.
   common::Rng rng(37);
   const fixed::FixedFormat act8(1, 7), w8(1, 7), act16(4, 10), out(2, 8);
@@ -519,10 +519,10 @@ TEST_F(QuantizedNetTest, IntegerEngineMatchesFakeQuantAccuracy) {
   eval.calibrate_spec(spec);
   const float acc_fake = eval.evaluate(spec);
 
-  const QuantizedShallowCaps deployed(*net_, spec);
+  const auto deployed = QuantizedGraph::compile(*net_, spec);
   std::vector<std::int64_t> idx;
   for (std::int64_t i = 0; i < split_->test.size(); ++i) idx.push_back(i);
-  const auto pred = deployed.predict(split_->test.batch(idx));
+  const auto pred = deployed.predict_batch(split_->test.batch(idx));
   int correct = 0;
   for (std::size_t i = 0; i < pred.size(); ++i)
     if (pred[i] == split_->test.labels[i]) ++correct;
@@ -550,7 +550,7 @@ TEST_F(QuantizedNetTest, QuantizedForwardTracksFp32OnCachedInputs) {
   spec.layers[2].qdr_frac = 5;
   core::Evaluator eval(*net_, split_->test, 128);
   eval.calibrate_spec(spec);
-  const QuantizedShallowCaps deployed(*net_, spec);
+  const auto deployed = QuantizedGraph::compile(*net_, spec);
   const QTensor v = deployed.forward(batch);
   const tensor::Tensor len_q = lengths(v);
   ASSERT_TRUE(len_q.same_shape(len_fp));
@@ -578,14 +578,14 @@ TEST_F(QuantizedNetTest, WeightBitsMatchMemoryModel) {
   auto spec = core::NetworkQuantSpec::uniform(
       3, 6, fixed::RoundingScheme::kRoundToNearest);
   eval.calibrate_spec(spec);
-  const QuantizedShallowCaps deployed(*net_, spec);
+  const auto deployed = QuantizedGraph::compile(*net_, spec);
   EXPECT_EQ(deployed.weight_bits(), eval.memory().weight_bits(spec));
 }
 
 TEST_F(QuantizedNetTest, RejectsWrongNetworkLayout) {
   auto spec = core::NetworkQuantSpec::uniform(
       2, 6, fixed::RoundingScheme::kRoundToNearest);
-  EXPECT_THROW(QuantizedShallowCaps(*net_, spec), qcaps::Error);
+  EXPECT_THROW(QuantizedGraph::compile(*net_, spec), qcaps::Error);
 }
 
 }  // namespace

@@ -75,39 +75,28 @@ std::vector<T> transposed(const std::vector<T>& src, std::int64_t r,
 // with the oracle (and therefore with each other) bit for bit. Tiers the
 // CPU lacks (e.g. avx512vnni on pre-Ice-Lake parts) are skipped with a log
 // line so the gap is visible in CI output.
-std::vector<QGemmKernel> available_kernels() {
-  std::vector<QGemmKernel> out;
+std::vector<Isa> available_kernels() {
+  std::vector<Isa> out;
   for (const auto k :
-       {QGemmKernel::kScalar, QGemmKernel::kAvx2, QGemmKernel::kAvx512,
-        QGemmKernel::kAvx512Vnni}) {
+       {Isa::kScalar, Isa::kAvx2, Isa::kAvx512, Isa::kAvx512Vnni}) {
     if (qgemm_force_kernel(k)) {
       out.push_back(k);
     } else {
       std::fprintf(stderr,
-                   "[test_qgemm] tier %d unsupported on this CPU/build; "
+                   "[test_qgemm] tier %s unsupported on this CPU/build; "
                    "skipping its forced-tier runs\n",
-                   static_cast<int>(k));
+                   isa_name(k));
     }
   }
   qgemm_reset_kernel();
   return out;
 }
 
-class QGemmAllKernels : public ::testing::TestWithParam<QGemmKernel> {
+class QGemmAllKernels : public ::testing::TestWithParam<Isa> {
  protected:
   void SetUp() override { ASSERT_TRUE(qgemm_force_kernel(GetParam())); }
   void TearDown() override { qgemm_reset_kernel(); }
 };
-
-const char* kernel_tag(QGemmKernel k) {
-  switch (k) {
-    case QGemmKernel::kScalar: return "scalar";
-    case QGemmKernel::kAvx2: return "avx2";
-    case QGemmKernel::kAvx512: return "avx512";
-    case QGemmKernel::kAvx512Vnni: return "avx512vnni";
-  }
-  return "unknown";
-}
 
 TEST_P(QGemmAllKernels, AllTransposeVariantsBitExactI32) {
   common::Rng rng(21);
@@ -489,7 +478,7 @@ TEST_P(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, QGemmAllKernels,
                          ::testing::ValuesIn(available_kernels()),
-                         [](const auto& info) { return kernel_tag(info.param); });
+                         [](const auto& info) { return isa_name(info.param); });
 
 TEST(QGemmRequantize, MatchesRescaleRawOnExactProducts) {
   // Unit multiplier + shift is the fixed-point rescale: bit-identical to
@@ -527,21 +516,6 @@ TEST(QGemmMaxK, BoundsMatchAccumulatorWidth) {
   // An int8 zero point widens the effective operand to 9 bits.
   EXPECT_EQ(qgemm_max_k(9, 9), 32767);
   EXPECT_GE(qgemm_max_k(2, 2), (std::int64_t{1} << 29) - 1);
-}
-
-TEST(QGemmDispatch, ReportsActiveKernel) {
-  const QGemmKernel k = qgemm_kernel();
-  EXPECT_STREQ(qgemm_kernel_name(),
-               k == QGemmKernel::kScalar
-                   ? "scalar"
-                   : (k == QGemmKernel::kAvx2
-                          ? "avx2"
-                          : (k == QGemmKernel::kAvx512 ? "avx512"
-                                                       : "avx512vnni")));
-  EXPECT_EQ(qgemm_native_active(), k != QGemmKernel::kScalar);
-  // Forcing an unsupported-on-any-build tier value must fail cleanly.
-  EXPECT_TRUE(qgemm_force_kernel(QGemmKernel::kScalar));
-  qgemm_reset_kernel();
 }
 
 TEST(QGemmThreads, DeterministicAcrossThreadCounts) {

@@ -1,6 +1,6 @@
 // Tests for the generic quantized-graph executor (qengine/qgraph):
 //
-//  * golden lock — the rewired QuantizedShallowCaps must reproduce the
+//  * golden lock — the compiled ShallowCaps graph must reproduce the
 //    pre-refactor hand-rolled implementation raw-for-raw (the legacy forward
 //    is kept verbatim below as the oracle), across specs and qgemm tiers;
 //  * batch-norm folding — folded conv weights/bias must match the unfused
@@ -29,27 +29,25 @@
 #include "nn/primary_caps.hpp"
 #include "nn/trainer.hpp"
 #include "qengine/qgraph.hpp"
-#include "qengine/quantized_deep_caps.hpp"
-#include "qengine/quantized_shallow_caps.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
 
 namespace qcaps::qengine {
 namespace {
 
-// ---- the pre-refactor QuantizedShallowCaps, verbatim ------------------------
+// ---- the pre-refactor ShallowCaps integer deployment, verbatim --------------
 //
 // The hand-rolled three-layer deployment exactly as it existed before the
 // quantized-graph refactor (PR 5). Kept as the raw-for-raw oracle: the graph
 // executor must reproduce every rescale point and traversal order of this
 // code.
-class LegacyQuantizedShallowCaps {
+class LegacyShallowCapsDeployment {
  public:
-  LegacyQuantizedShallowCaps(nn::Network& net,
-                             const core::NetworkQuantSpec& spec) {
+  LegacyShallowCapsDeployment(nn::Network& net,
+                              const core::NetworkQuantSpec& spec) {
     const auto widx = net.weighted_layers();
     QCAPS_CHECK_MSG(widx.size() == 3 && spec.layers.size() == 3,
-                    "QuantizedShallowCaps expects the 3-layer ShallowCaps");
+                    "expects the 3-layer ShallowCaps");
     auto* conv = dynamic_cast<nn::Conv2dLayer*>(&net.layer(widx[0]));
     auto* primary = dynamic_cast<nn::PrimaryCapsLayer*>(&net.layer(widx[1]));
     auto* digit = dynamic_cast<nn::FCCapsLayer*>(&net.layer(widx[2]));
@@ -175,8 +173,8 @@ TEST(QGraphGoldenLock, ShallowCapsBitIdenticalToPreRefactorForward) {
   qdr.layers[2].qdr_frac = 4;
   qdr.layers[2].qdr_int = 3;
   for (const auto& spec : {narrow, wide, qdr}) {
-    const LegacyQuantizedShallowCaps legacy(*net, spec);
-    const QuantizedShallowCaps rewired(*net, spec);
+    const LegacyShallowCapsDeployment legacy(*net, spec);
+    const auto rewired = QuantizedGraph::compile(*net, spec);
     const QTensor want = legacy.forward(images);
     const QTensor got = rewired.forward(images);
     ASSERT_EQ(got.shape, want.shape);
@@ -322,7 +320,6 @@ TEST(QGraphDeepCaps, RejectsSpecNotCoveringEveryUnit) {
   const auto spec = core::NetworkQuantSpec::uniform(
       3, 8, fixed::RoundingScheme::kRoundToNearest);
   EXPECT_THROW(QuantizedGraph::compile(*net, spec), qcaps::Error);
-  EXPECT_THROW(QuantizedDeepCaps(*net, spec), qcaps::Error);
 }
 
 TEST(QGraphDeepCaps, BatchedForwardMatchesSequentialBitExact) {
@@ -331,7 +328,7 @@ TEST(QGraphDeepCaps, BatchedForwardMatchesSequentialBitExact) {
   auto net = models::build_deep_caps(cfg, rng);
   const auto spec = core::NetworkQuantSpec::uniform(
       6, 8, fixed::RoundingScheme::kRoundToNearest);
-  const QuantizedDeepCaps qmodel(*net, spec);
+  const auto qmodel = QuantizedGraph::compile(*net, spec);
   const std::int64_t b = 3;
   const tensor::Tensor images =
       tensor::Tensor::uniform({b, 1, 28, 28}, rng, 0.0f, 1.0f);
@@ -351,7 +348,7 @@ TEST(QGraphDeepCaps, BatchedForwardMatchesSequentialBitExact) {
 
 // ---- network-scale validation on a trained DeepCaps -------------------------
 
-class QuantizedDeepCapsTest : public ::testing::Test {
+class TrainedDeepCapsGraph : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     data::SynthConfig dcfg;
@@ -377,10 +374,10 @@ class QuantizedDeepCapsTest : public ::testing::Test {
   static models::TrainedModel* trained_;
 };
 
-data::DataSplit* QuantizedDeepCapsTest::split_ = nullptr;
-models::TrainedModel* QuantizedDeepCapsTest::trained_ = nullptr;
+data::DataSplit* TrainedDeepCapsGraph::split_ = nullptr;
+models::TrainedModel* TrainedDeepCapsGraph::trained_ = nullptr;
 
-TEST_F(QuantizedDeepCapsTest, IntegerEngineMatchesFakeQuantAccuracy) {
+TEST_F(TrainedDeepCapsGraph, IntegerEngineMatchesFakeQuantAccuracy) {
   nn::Network& net = *trained_->net;
   core::Evaluator eval(net, split_->test, 128);
   const float acc_fp32 = eval.evaluate_fp32();
@@ -391,10 +388,10 @@ TEST_F(QuantizedDeepCapsTest, IntegerEngineMatchesFakeQuantAccuracy) {
   eval.calibrate_spec(spec);
   const float acc_fake = eval.evaluate(spec);
 
-  const QuantizedDeepCaps deployed(net, spec);
+  const auto deployed = QuantizedGraph::compile(net, spec);
   std::vector<std::int64_t> idx;
   for (std::int64_t i = 0; i < split_->test.size(); ++i) idx.push_back(i);
-  const auto pred = deployed.predict(split_->test.batch(idx));
+  const auto pred = deployed.predict_batch(split_->test.batch(idx));
   int correct = 0;
   for (std::size_t i = 0; i < pred.size(); ++i)
     if (pred[i] == split_->test.labels[i]) ++correct;
@@ -407,7 +404,7 @@ TEST_F(QuantizedDeepCapsTest, IntegerEngineMatchesFakeQuantAccuracy) {
   EXPECT_GT(acc_int, acc_fp32 - 0.15f);
 }
 
-TEST_F(QuantizedDeepCapsTest, ForwardTracksFp32CapsuleLengths) {
+TEST_F(TrainedDeepCapsGraph, ForwardTracksFp32CapsuleLengths) {
   nn::Network& net = *trained_->net;
   std::vector<std::int64_t> idx;
   for (std::int64_t i = 0; i < 16; ++i) idx.push_back(i);
@@ -420,7 +417,7 @@ TEST_F(QuantizedDeepCapsTest, ForwardTracksFp32CapsuleLengths) {
       6, 8, fixed::RoundingScheme::kRoundToNearest);
   core::Evaluator eval(net, split_->test, 128);
   eval.calibrate_spec(spec);
-  const QuantizedDeepCaps deployed(net, spec);
+  const auto deployed = QuantizedGraph::compile(net, spec);
   const tensor::Tensor len_q = lengths(deployed.forward(batch));
   ASSERT_TRUE(len_q.same_shape(len_fp));
 

@@ -132,9 +132,8 @@ TEST(Routing, TransposedNoTapePathLocksToTapePathOnEveryTier) {
   // nin = 37 exercises the avx2/avx512 softmax_rows_t tails; iterations = 3
   // routes every kernel (iteration_fused twice, weighted_sum_squash once).
   const tensor::Tensor votes = tensor::Tensor::randn({3, 5, 37, 8}, rng);
-  for (tensor::CapsKernel k :
-       {tensor::CapsKernel::kScalar, tensor::CapsKernel::kAvx2,
-        tensor::CapsKernel::kAvx512}) {
+  for (tensor::Isa k :
+       {tensor::Isa::kScalar, tensor::Isa::kAvx2, tensor::Isa::kAvx512}) {
     if (!tensor::caps_force_kernel(k)) continue;
     DynamicRouting taped, plain;
     const tensor::Tensor vt = taped.forward(votes, 3, true, RoutingQuantPoints{});
@@ -143,7 +142,7 @@ TEST(Routing, TransposedNoTapePathLocksToTapePathOnEveryTier) {
     const tensor::Tensor& ct = taped.last_coupling();
     const tensor::Tensor& cn = plain.last_coupling();
     ASSERT_EQ(ct.shape(), cn.shape());
-    if (k == tensor::CapsKernel::kScalar) {
+    if (k == tensor::Isa::kScalar) {
       for (std::int64_t i = 0; i < vt.numel(); ++i)
         ASSERT_EQ(vt[i], vn[i]) << "v flat " << i;
       for (std::int64_t i = 0; i < ct.numel(); ++i)

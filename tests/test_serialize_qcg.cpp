@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "core/quant_spec.hpp"
@@ -133,7 +134,7 @@ void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
 void patch_header_u32(std::vector<std::uint8_t>& img, std::size_t offset,
                       std::uint32_t value) {
   std::memcpy(img.data() + offset, &value, sizeof(value));
-  const std::uint32_t crc = crc32(img.data(), offsetof(QcgHeader, header_crc32));
+  const std::uint32_t crc = common::crc32(img.data(), offsetof(QcgHeader, header_crc32));
   std::memcpy(img.data() + offsetof(QcgHeader, header_crc32), &crc,
               sizeof(crc));
 }

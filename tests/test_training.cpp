@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "common/rng.hpp"
 #include "data/loader.hpp"
@@ -121,6 +124,64 @@ TEST(Serialize, ShapeMismatchThrows) {
   b.add<DenseLayer>("d", 6, 5, false, rng);
   EXPECT_THROW(load_params(b, path), qcaps::Error);
   std::filesystem::remove(path);
+}
+
+// A checkpoint whose bytes were damaged is refused with a typed error: one
+// flipped tensor byte (checksum), a truncated write, a trailing byte, and
+// the previous format version's magic. The undamaged bytes still load.
+TEST(Serialize, DamagedFileThrowsCheckpointError) {
+  common::Rng rng(5);
+  Network a("net");
+  a.add<DenseLayer>("d", 6, 4, true, rng);
+  const std::string path = "test_serialize_damaged.bin";
+  save_params(a, path);
+  std::string good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto load_bytes = [&](const std::string& bytes) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    Network b("net");
+    b.add<DenseLayer>("d", 6, 4, true, rng);
+    return load_params(b, path);
+  };
+  // magic, tensor count, rank, dims, then the first tensor's floats.
+  const std::size_t first_float = 3 * 8 + 8 * a.params()[0]->shape().size();
+  std::string flipped = good;
+  flipped[first_float + 1] ^= 0x10;
+  EXPECT_THROW(load_bytes(flipped), CheckpointError) << "flipped tensor byte";
+  EXPECT_THROW(load_bytes(good.substr(0, good.size() / 2)), CheckpointError)
+      << "truncated inside a tensor";
+  EXPECT_THROW(load_bytes(good.substr(0, good.size() - 1)), CheckpointError)
+      << "truncated checksum";
+  EXPECT_THROW(load_bytes(good + '\0'), CheckpointError) << "trailing byte";
+  std::string v2 = good;
+  v2[0] = '2';  // "QCAPSNE3" is stored little-endian: '3' comes first
+  EXPECT_THROW(load_bytes(v2), CheckpointError) << "version-2 magic";
+  EXPECT_TRUE(load_bytes(good));
+  std::filesystem::remove(path);
+}
+
+TEST(Serialize, SaveReplacesFileWithoutLeavingTemporaries) {
+  common::Rng rng(6);
+  Network a("net");
+  a.add<DenseLayer>("d", 3, 2, true, rng);
+  const std::filesystem::path dir = "test_serialize_atomic_dir";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "model.bin").string();
+  save_params(a, path);
+  a.params()[0]->data()[0] += 1.0f;
+  save_params(a, path);  // over an existing file
+  Network b("net");
+  b.add<DenseLayer>("d", 3, 2, true, rng);
+  ASSERT_TRUE(load_params(b, path));
+  EXPECT_EQ(b.params()[0]->data()[0], a.params()[0]->data()[0]);
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir), {}), 1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TrainerIntegration, LeNetLearnsSynthDigits) {
