@@ -8,7 +8,10 @@
 // Subcommands:
 //   export OUT [--fast] [--frac=6]   train-or-load the ShallowCaps fixture,
 //                                    calibrate a uniform spec, compile, save
-//   info FILE                        print the validated header
+//   info FILE                        print the validated header, the
+//                                    fusion verdicts, and per node the
+//                                    activation container and the qgemm
+//                                    width of one probe forward
 //   verify FILE [--serve]            load (full checksum), forward a
 //                                    deterministic probe batch, print the
 //                                    raw-output digest + predictions;
@@ -113,6 +116,21 @@ int cmd_info(const std::string& path) {
     const std::string why = qengine::rescale_fold_blocker(g, i);
     std::printf("  rescale node %-2zu: %s — %s\n", i, op.source.c_str(),
                 why.empty() ? "folds into producer" : why.c_str());
+  }
+  // Per node: the planned activation container, and the operand width its
+  // GEMMs ran at on one probe batch (the qgemm tier follows the values'
+  // actual range, so it needs a forward).
+  if (info.in_channels > 0 && info.in_h > 0 && info.in_w > 0) {
+    std::vector<qengine::QuantizedGraph::NodeTrace> trace;
+    g.forward(probe_batch(kProbeBatch, info.in_channels, info.in_h, info.in_w),
+              &trace);
+    std::printf("  node  source                container  qgemm\n");
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const int q = trace[i].qgemm_bits;
+      std::printf("  %-4zu  %-20s  i%-8d  %s\n", i,
+                  g.ops()[i].source.c_str(), trace[i].container_bits,
+                  q == 0 ? "-" : q == 64 ? "i64 (exact)" : q == 8 ? "i8" : "i16");
+    }
   }
   return 0;
 }

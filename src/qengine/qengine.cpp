@@ -32,10 +32,10 @@ int qgemm_tier(std::int64_t maxabs_a, std::int64_t maxabs_b, std::int64_t k) {
 
 // The int64 scalar fallbacks are exact only while k * |a| * |b| cannot wrap
 // int64; FixedFormat allows wordlengths up to 62, so this must be checked.
-void check_i64_acc(const QTensor& a, const QTensor& b, std::int64_t k,
+void check_i64_acc(std::int64_t max_a, std::int64_t max_b, std::int64_t k,
                    const char* what) {
-  const int ba = std::bit_width(static_cast<std::uint64_t>(a.max_abs_raw()));
-  const int bb = std::bit_width(static_cast<std::uint64_t>(b.max_abs_raw()));
+  const int ba = std::bit_width(static_cast<std::uint64_t>(max_a));
+  const int bb = std::bit_width(static_cast<std::uint64_t>(max_b));
   QCAPS_CHECK_MSG(ba + bb + ceil_log2(std::max<std::int64_t>(k, 1)) <= 62,
                   what << " accumulator would overflow for these values");
 }
@@ -59,12 +59,40 @@ tensor::QGemmRequant make_requant(int acc_qf,
   return rq;
 }
 
-template <typename T>
-std::vector<T> packed_of(const QTensor& t) {
-  if constexpr (std::is_same_v<T, std::int8_t>)
-    return t.packed_i8();
-  else
-    return t.packed_i16();
+// Epilogue statistics request counting `fmt`'s rails.
+tensor::QGemmOutStats rail_stats(const fixed::FixedFormat& fmt) {
+  tensor::QGemmOutStats st;
+  st.rail_lo = fmt.raw_min();
+  st.rail_hi = fmt.raw_max();
+  return st;
+}
+
+void take_stats(const tensor::QGemmOutStats& st, int qgemm_bits,
+                OpRun& run) {
+  run.max_abs = st.max_abs;
+  run.at_rail = st.at_rail;
+  run.qgemm_bits = std::max(run.qgemm_bits, qgemm_bits);
+}
+
+// Range / rail bookkeeping of one written raw value.
+inline void note(std::int64_t v, std::int64_t lo, std::int64_t hi,
+                 std::int64_t& max_abs, std::uint64_t& at_rail) {
+  max_abs = std::max(max_abs, v < 0 ? -v : v);
+  at_rail += (v <= lo || v >= hi) ? 1 : 0;
+}
+
+// A value left all-zero (empty contraction): zero sits on a rail only for
+// a one-bit format.
+void note_zeros(const fixed::FixedFormat& fmt, std::int64_t n, OpRun& run) {
+  run.max_abs = 0;
+  run.at_rail = (fmt.raw_max() <= 0) ? static_cast<std::uint64_t>(n) : 0;
+}
+
+// Narrowing copy of a tensor into a packed qgemm operand. The caller's tier
+// decision (qgemm_tier over the tensor's range) guarantees the values fit.
+template <typename T, typename TI>
+std::vector<T> narrow_copy(const QTensorT<TI>& t) {
+  return std::vector<T>(t.raw.begin(), t.raw.end());
 }
 
 template <typename T>
@@ -75,12 +103,22 @@ const T* cached_data(const QGemmOperandCache& cache) {
     return cache.i16_data();
 }
 
+// The packed weight operand: the persistent cache when given, otherwise a
+// copy into `local`.
+template <typename T>
+const T* weight_panel(const QTensor& w, const QGemmOperandCache* cache,
+                      std::vector<T>& local) {
+  if (cache) return cached_data<T>(*cache);
+  local = narrow_copy<T>(w);
+  return local.data();
+}
+
 template <typename T>
 void run_qgemm_matmul(const QTensor& a, const QTensor& b, std::int64_t m,
                       std::int64_t n, std::int64_t k,
                       const tensor::QGemmRequant& rq, std::int32_t* c) {
-  const auto ap = packed_of<T>(a);
-  const auto bp = packed_of<T>(b);
+  const auto ap = narrow_copy<T>(a);
+  const auto bp = narrow_copy<T>(b);
   tensor::qgemm(tensor::Trans::kN, tensor::Trans::kN, m, n, k, ap.data(), k,
                 bp.data(), n, c, n, rq);
 }
@@ -88,65 +126,143 @@ void run_qgemm_matmul(const QTensor& a, const QTensor& b, std::int64_t m,
 // One strided GEMM per input type i (the shape qgemm amortizes best):
 //   c[:, i, :] [B x JD] = u[:, i, :] [B x Din] * w[i]^T [Din x JD]
 // The i-major result is permuted into the j-major votes layout by the
-// requant epilogue's affine scatter (QGemmScatterDst) — element (bi, j*Dout
+// requant epilogue's affine scatter (QGemmScatterTo) — element (bi, j*Dout
 // + dd) of batch item i lands at votes[((bi*Nout + j)*Nin + i)*Dout + dd]
 // straight out of the microkernel, so the routing layout costs no separate
-// widening-copy pass. (Emitting j-major via GEMM shapes instead would need
-// one batch per output capsule: n = Dout-wide calls too small to amortize
-// packing, measured 3x slower on the ShallowCaps head.)
-template <typename T>
-void run_qgemm_votes(const QTensor& u, const QTensor& w,
+// copy pass. (Emitting j-major via GEMM shapes instead would need one batch
+// per output capsule: n = Dout-wide calls too small to amortize packing,
+// measured 3x slower on the ShallowCaps head.)
+template <typename T, typename TI, typename TO>
+void run_qgemm_votes(const QTensorT<TI>& u, const QTensor& w,
                      const QGemmOperandCache* w_cache, std::int64_t b,
                      std::int64_t nin, std::int64_t din, std::int64_t nout,
                      std::int64_t dout, const tensor::QGemmRequant& rq,
-                     std::int64_t* votes) {
-  const auto up = packed_of<T>(u);
+                     QTensorT<TO>& votes, tensor::QGemmOutStats& st) {
+  const auto up = narrow_copy<T>(u);
   std::vector<T> wp_local;
-  const T* wp;
-  if (w_cache) {
-    wp = cached_data<T>(*w_cache);
-  } else {
-    wp_local = packed_of<T>(w);
-    wp = wp_local.data();
-  }
+  const T* wp = weight_panel<T>(w, w_cache, wp_local);
   const std::int64_t jd = nout * dout;
-  tensor::QGemmScatterDst sd;
-  sd.dst = votes;
+  tensor::QGemmScatterTo<TO> sd;
+  sd.dst = votes.raw.data();
   sd.row_outer_stride = nout * nin * dout;  // per image row bi (row_inner = 1)
   sd.col_inner = dout;
   sd.col_outer_stride = nin * dout;         // per output type j
   sd.col_inner_stride = 1;                  // per vote component dd
   sd.batch_stride = dout;                   // per input type i
+  sd.stats = &st;
   tensor::qgemm_batch_scatter(tensor::Trans::kN, tensor::Trans::kT, b, jd,
                               din, up.data(), nin * din, din, wp, din,
                               jd * din, nin, rq, sd);
 }
 
+// im2col of images [b0, b0 + bc) of x [B, C, H, W] into the column panel
+// [C*K*K, bc*OH*OW]. Each kernel tap (ci, ky, kx) has one range of output
+// columns [x0, x1) whose input pixels lie inside the image; per output row
+// that range is one contiguous (stride 1) or strided converting copy and
+// the padding around it is written as zeros — no per-element bounds test
+// and no separate zero-fill of the panel. Parallel over (image, channel),
+// so even a one-image chunk splits across the team.
+template <typename TI, typename T>
+void im2col_runs(const TI* x, std::int64_t b0, std::int64_t bc, std::int64_t c,
+                 std::int64_t h, std::int64_t wd, std::int64_t k,
+                 std::int64_t stride, std::int64_t pad, std::int64_t oh,
+                 std::int64_t ow, T* cols) {
+  const std::int64_t plane = oh * ow;
+  const std::int64_t n_chunk = bc * plane;
+#pragma omp parallel for collapse(2) schedule(static)
+  for (std::int64_t bi = 0; bi < bc; ++bi) {
+    for (std::int64_t ci = 0; ci < c; ++ci) {
+      const TI* xplane = x + ((b0 + bi) * c + ci) * h * wd;
+      for (std::int64_t ky = 0; ky < k; ++ky) {
+        for (std::int64_t kx = 0; kx < k; ++kx) {
+          T* crow = cols + ((ci * k + ky) * k + kx) * n_chunk + bi * plane;
+          // Valid columns: 0 <= xx*stride + kx - pad <= wd - 1.
+          const std::int64_t x0 =
+              kx >= pad ? 0
+                        : std::min(ow, (pad - kx + stride - 1) / stride);
+          const std::int64_t last = wd - 1 + pad - kx;
+          const std::int64_t x1 =
+              std::max(x0, last < 0 ? 0 : std::min(ow, last / stride + 1));
+          if (stride == 1 && ow == wd && x0 < x1) {
+            // Same-size stride-1 output: the valid rows [y0, y1) of this
+            // tap are ONE contiguous shifted copy of the plane. Copy it in
+            // one run, then zero the clipped border columns (which the run
+            // filled with neighbouring rows' pixels) and the clipped rows.
+            const std::int64_t y0 = std::clamp<std::int64_t>(pad - ky, 0, oh);
+            const std::int64_t y1 =
+                std::clamp<std::int64_t>(h + pad - ky, y0, oh);
+            std::fill(crow, crow + y0 * ow, T{0});
+            if (y1 > y0) {
+              const std::int64_t d0 = y0 * ow + x0;
+              const std::int64_t d1 = (y1 - 1) * ow + x1;
+              const TI* src = xplane + (y0 + ky - pad) * wd + x0 + kx - pad;
+              T* dst = crow + d0;
+              for (std::int64_t e = 0; e < d1 - d0; ++e)
+                dst[e] = static_cast<T>(src[e]);
+              for (std::int64_t y = y0; y < y1; ++y) {
+                std::fill(crow + y * ow, crow + y * ow + x0, T{0});
+                std::fill(crow + y * ow + x1, crow + (y + 1) * ow, T{0});
+              }
+            }
+            std::fill(crow + y1 * ow, crow + oh * ow, T{0});
+            continue;
+          }
+          for (std::int64_t y = 0; y < oh; ++y) {
+            T* dst = crow + y * ow;
+            const std::int64_t iy = y * stride + ky - pad;
+            if (iy < 0 || iy >= h) {
+              std::fill(dst, dst + ow, T{0});
+              continue;
+            }
+            std::fill(dst, dst + x0, T{0});
+            const TI* src = xplane + iy * wd + x0 * stride + kx - pad;
+            if (stride == 1) {
+              for (std::int64_t xx = x0; xx < x1; ++xx)
+                dst[xx] = static_cast<T>(src[xx - x0]);
+            } else {
+              for (std::int64_t xx = x0; xx < x1; ++xx)
+                dst[xx] = static_cast<T>(src[(xx - x0) * stride]);
+            }
+            std::fill(dst + x1, dst + ow, T{0});
+          }
+        }
+      }
+    }
+  }
+}
+
+// Images per GEMM: chunk the batch so the im2col columns, the int32
+// accumulators and the written outputs of one chunk stay L2-resident
+// (~1 MB); the packed weight panels stay hot across every chunk. Chunking
+// cannot change results: each output element's exact int32 accumulation is
+// unaffected by which chunk computes it.
+std::int64_t conv_chunk(std::int64_t bytes_per_col, std::int64_t plane,
+                        std::int64_t b) {
+  constexpr std::int64_t kConvWorkingSetBytes = std::int64_t{1} << 20;
+  return std::clamp<std::int64_t>(
+      kConvWorkingSetBytes / std::max<std::int64_t>(bytes_per_col * plane, 1),
+      1, b);
+}
+
 // Batched im2col + packed integer GEMM convolution. The whole [B, ...]
-// batch becomes ONE qgemm call: A = weights [F, C*K*K] (from the packed
-// cache when supplied), B = the images' im2col columns concatenated to
-// [C*K*K, B*OH*OW], bias folded into the fused requantization. Padding
-// contributes stored zeros, which are exact zeros on the symmetric grid.
-template <typename T>
-QTensor conv2d_qgemm(const QTensor& x, const QTensor& w, const QTensor& bias,
-                     std::int64_t stride, std::int64_t pad,
-                     fixed::FixedFormat out_fmt, int acc_qf,
-                     const QGemmOperandCache* w_cache, bool fuse_relu,
-                     const RescaleFold* fold, fixed::FixedFormat result_fmt,
-                     std::int64_t b, std::int64_t c, std::int64_t h,
-                     std::int64_t wd, std::int64_t f, std::int64_t k,
-                     std::int64_t oh, std::int64_t ow) {
+// batch becomes ONE qgemm call per chunk: A = weights [F, C*K*K] (from the
+// packed cache when supplied), B = the images' im2col columns concatenated
+// to [C*K*K, bc*OH*OW], bias folded into the fused requantization, and the
+// epilogue writes the TO container directly. Padding contributes stored
+// zeros, which are exact zeros on the symmetric grid.
+template <typename T, typename TI, typename TO>
+void conv2d_qgemm(const QTensorT<TI>& x, const QTensor& w,
+                  const QTensor& bias, std::int64_t stride, std::int64_t pad,
+                  fixed::FixedFormat out_fmt, int acc_qf,
+                  const QGemmOperandCache* w_cache, bool fuse_relu,
+                  const RescaleFold* fold, std::int64_t b, std::int64_t c,
+                  std::int64_t h, std::int64_t wd, std::int64_t f,
+                  std::int64_t k, std::int64_t oh, std::int64_t ow,
+                  QTensorT<TO>& out, tensor::QGemmOutStats& st) {
   const std::int64_t kk = c * k * k;
   const std::int64_t plane = oh * ow;
-
   std::vector<T> w_local;
-  const T* wp;
-  if (w_cache) {
-    wp = cached_data<T>(*w_cache);
-  } else {
-    w_local = packed_of<T>(w);
-    wp = w_local.data();
-  }
+  const T* wp = weight_panel<T>(w, w_cache, w_local);
 
   std::vector<std::int32_t> bias32;
   if (!bias.raw.empty()) {
@@ -178,76 +294,42 @@ QTensor conv2d_qgemm(const QTensor& x, const QTensor& w, const QTensor& bias,
   }
   if (!bias32.empty()) rq.bias = bias32.data();
 
-  // Cache-block the batch: one GEMM per chunk of images, chunk sized so the
-  // im2col columns + int32 accumulators + int64 outputs stay L2-resident
-  // (~1 MB); the packed weight panels stay hot across every chunk. Large
-  // batches keep the per-call amortization without streaming multi-MB
-  // working sets through the cache. Chunking cannot change results: each
-  // output element's exact int32 accumulation is unaffected by which chunk
-  // computes it.
-  constexpr std::int64_t kConvWorkingSetBytes = std::int64_t{1} << 20;
-  const std::int64_t bytes_per_col =
-      kk * static_cast<std::int64_t>(sizeof(T)) + 8 * f;
-  const std::int64_t chunk_b = std::clamp<std::int64_t>(
-      kConvWorkingSetBytes / std::max<std::int64_t>(bytes_per_col * plane, 1),
-      1, b);
-
-  QTensor out({b, f, oh, ow}, result_fmt);
+  const std::int64_t chunk_b = conv_chunk(
+      kk * static_cast<std::int64_t>(sizeof(T)) +
+          f * static_cast<std::int64_t>(sizeof(std::int32_t) + sizeof(TO)),
+      plane, b);
   std::vector<T> cols;
   for (std::int64_t b0 = 0; b0 < b; b0 += chunk_b) {
     const std::int64_t bc = std::min<std::int64_t>(chunk_b, b - b0);
     const std::int64_t n_chunk = bc * plane;
-    // With pad == 0 the im2col loop writes every element, so skip the
-    // zero-fill on that (hottest) path; padding needs the zeros.
-    if (pad > 0)
-      cols.assign(static_cast<std::size_t>(kk * n_chunk), T{0});
-    else
-      cols.resize(static_cast<std::size_t>(kk * n_chunk));
-#pragma omp parallel for schedule(static)
-    for (std::int64_t bi = 0; bi < bc; ++bi) {
-      for (std::int64_t ci = 0; ci < c; ++ci) {
-        const std::int64_t* xplane =
-            x.raw.data() + ((b0 + bi) * c + ci) * h * wd;
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            T* crow = cols.data() + ((ci * k + ky) * k + kx) * n_chunk +
-                      bi * plane;
-            for (std::int64_t y = 0; y < oh; ++y) {
-              const std::int64_t iy = y * stride + ky - pad;
-              if (iy < 0 || iy >= h) continue;
-              for (std::int64_t xx = 0; xx < ow; ++xx) {
-                const std::int64_t ix = xx * stride + kx - pad;
-                if (ix < 0 || ix >= wd) continue;
-                crow[y * ow + xx] = static_cast<T>(xplane[iy * wd + ix]);
-              }
-            }
-          }
-        }
-      }
-    }
-
+    cols.resize(static_cast<std::size_t>(kk * n_chunk));
+    im2col_runs(x.raw.data(), b0, bc, c, h, wd, k, stride, pad, oh, ow,
+                cols.data());
     // The requant epilogue scatters [F, bc*plane] -> [b0.., F, plane]
-    // directly into the widened output — no dense int32 C, no second pass.
-    tensor::QGemmScatterDst sd;
+    // straight into the output container — no dense int32 C, no second
+    // pass; each row of a plane is one unit-stride run.
+    tensor::QGemmScatterTo<TO> sd;
     sd.dst = out.raw.data() + b0 * f * plane;
     sd.row_inner = f;
     sd.row_inner_stride = plane;
     sd.col_inner = plane;
     sd.col_outer_stride = f * plane;
     sd.col_inner_stride = 1;
+    sd.stats = &st;
     tensor::qgemm_scatter(tensor::Trans::kN, tensor::Trans::kN, f, n_chunk,
                           kk, wp, kk, cols.data(), n_chunk, rq, sd);
   }
-  return out;
 }
 
 }  // namespace
 
-QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
-               std::int64_t stride, std::int64_t pad,
-               fixed::FixedFormat out_fmt, fixed::RoundingScheme scheme,
-               const QGemmOperandCache* w_cache, bool fuse_relu,
-               const fixed::FixedFormat* fold_fmt) {
+template <typename TI, typename TO>
+void conv2d_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
+               const QTensor& w, const QTensor& bias, std::int64_t stride,
+               std::int64_t pad, fixed::FixedFormat out_fmt,
+               fixed::RoundingScheme scheme, const QGemmOperandCache* w_cache,
+               bool fuse_relu, const fixed::FixedFormat* fold_fmt,
+               QTensorT<TO>& out, OpRun& run) {
   QCAPS_CHECK_MSG(x.shape.size() == 4 && w.shape.size() == 4,
                   "qengine conv2d expects [B,C,H,W] x [F,C,K,K]");
   const std::int64_t b = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
@@ -269,7 +351,9 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
   QCAPS_CHECK_MSG(!has_bias || bias.fmt.qf <= acc_qf,
                   "conv2d bias fractional width exceeds the accumulator's");
   const fixed::FixedFormat result_fmt = fold_fmt ? *fold_fmt : out_fmt;
-  if (b == 0) return QTensor({b, f, oh, ow}, result_fmt);
+  out = QTensorT<TO>({b, f, oh, ow}, result_fmt);
+  run = OpRun{};
+  if (b == 0) return;
 
   // Packed-GEMM fast path (bit-identical; see header). With a folded
   // trailing rescale the requant must express the COMPOSED shift/rails, so
@@ -284,10 +368,10 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
     fold = compose_rescale(acc_qf - out_fmt.qf, lo1, out_fmt.raw_max(),
                            out_fmt, *fold_fmt);
   }
+  const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
   if (requant_expressible(acc_qf, result_fmt, scheme) &&
       (fold_fmt == nullptr || fold.ok)) {
-    const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
-    const int tier = qgemm_tier(x.max_abs_raw(), wmax, c * k * k);
+    const int tier = qgemm_tier(x_max_abs, wmax, c * k * k);
     bool bias_ok = true;
     if (has_bias) {
       const int bshift = acc_qf - bias.fmt.qf;
@@ -296,20 +380,25 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
     }
     if (tier != 0 && bias_ok) {
       const RescaleFold* fp = fold_fmt ? &fold : nullptr;
-      return tier == 1
-                 ? conv2d_qgemm<std::int8_t>(x, w, bias, stride, pad, out_fmt,
-                                             acc_qf, w_cache, fuse_relu, fp,
-                                             result_fmt, b, c, h, wd, f, k,
-                                             oh, ow)
-                 : conv2d_qgemm<std::int16_t>(x, w, bias, stride, pad, out_fmt,
-                                              acc_qf, w_cache, fuse_relu, fp,
-                                              result_fmt, b, c, h, wd, f, k,
-                                              oh, ow);
+      tensor::QGemmOutStats st = rail_stats(result_fmt);
+      if (tier == 1)
+        conv2d_qgemm<std::int8_t>(x, w, bias, stride, pad, out_fmt, acc_qf,
+                                  w_cache, fuse_relu, fp, b, c, h, wd, f, k,
+                                  oh, ow, out, st);
+      else
+        conv2d_qgemm<std::int16_t>(x, w, bias, stride, pad, out_fmt, acc_qf,
+                                   w_cache, fuse_relu, fp, b, c, h, wd, f, k,
+                                   oh, ow, out, st);
+      take_stats(st, tier == 1 ? 8 : 16, run);
+      return;
     }
   }
 
-  QTensor out({b, f, oh, ow}, result_fmt);
-#pragma omp parallel for collapse(2) schedule(static)
+  const std::int64_t lo = result_fmt.raw_min(), hi = result_fmt.raw_max();
+  std::int64_t max_abs = 0;
+  std::uint64_t at_rail = 0;
+#pragma omp parallel for collapse(2) schedule(static) \
+    reduction(max : max_abs) reduction(+ : at_rail)
   for (std::int64_t bi = 0; bi < b; ++bi) {
     for (std::int64_t fi = 0; fi < f; ++fi) {
       for (std::int64_t y = 0; y < oh; ++y) {
@@ -322,8 +411,10 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
               for (std::int64_t kx = 0; kx < k; ++kx) {
                 const std::int64_t ix = xx * stride + kx - pad;
                 if (ix < 0 || ix >= wd) continue;
-                acc += x.raw[static_cast<std::size_t>(((bi * c + ci) * h + iy) * wd + ix)] *
-                       w.raw[static_cast<std::size_t>(((fi * c + ci) * k + ky) * k + kx)];
+                acc += static_cast<std::int64_t>(x.raw[static_cast<std::size_t>(
+                           ((bi * c + ci) * h + iy) * wd + ix)]) *
+                       w.raw[static_cast<std::size_t>(
+                           ((fi * c + ci) * k + ky) * k + kx)];
               }
             }
           }
@@ -338,29 +429,75 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
           if (fold_fmt != nullptr)
             v = hwmodel::rescale_raw(v, out_fmt.qf, *fold_fmt);
           out.raw[static_cast<std::size_t>(((bi * f + fi) * oh + y) * ow + xx)] =
-              v;
+              static_cast<TO>(v);
+          note(v, lo, hi, max_abs, at_rail);
         }
       }
     }
   }
+  run.max_abs = max_abs;
+  run.at_rail = at_rail;
+  run.qgemm_bits = 64;
+}
+
+QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
+               std::int64_t stride, std::int64_t pad,
+               fixed::FixedFormat out_fmt, fixed::RoundingScheme scheme,
+               const QGemmOperandCache* w_cache, bool fuse_relu,
+               const fixed::FixedFormat* fold_fmt) {
+  QTensor out;
+  OpRun run;
+  conv2d_to(x, x.max_abs_raw(), w, bias, stride, pad, out_fmt, scheme,
+            w_cache, fuse_relu, fold_fmt, out, run);
   return out;
 }
 
-void relu(QTensor& x) {
-  for (auto& v : x.raw)
+template <typename T>
+void relu_to(QTensorT<T>& x, OpRun& run) {
+  std::int64_t max_abs = 0;
+  for (auto& v : x.raw) {
     if (v < 0) v = 0;
+    max_abs = std::max<std::int64_t>(max_abs, v);
+  }
+  run.max_abs = max_abs;
+}
+
+void relu(QTensor& x) {
+  OpRun run;
+  relu_to(x, run);
+}
+
+template <typename TI, typename TO>
+void rescale_to(const QTensorT<TI>& x, fixed::FixedFormat out_fmt,
+                fixed::RoundingScheme scheme, QTensorT<TO>& out, OpRun& run) {
+  out = QTensorT<TO>(x.shape, out_fmt);
+  const std::int64_t lo = out_fmt.raw_min(), hi = out_fmt.raw_max();
+  const std::int64_t n = x.numel();
+  std::int64_t max_abs = 0;
+  std::uint64_t at_rail = 0;
+#pragma omp parallel for schedule(static) if (n > (1 << 16)) \
+    reduction(max : max_abs) reduction(+ : at_rail)
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t v = hwmodel::rescale_raw(
+        x.raw[static_cast<std::size_t>(i)], x.fmt.qf, out_fmt, scheme);
+    out.raw[static_cast<std::size_t>(i)] = static_cast<TO>(v);
+    note(v, lo, hi, max_abs, at_rail);
+  }
+  run = OpRun{max_abs, at_rail, 0};
 }
 
 QTensor rescale(const QTensor& x, fixed::FixedFormat out_fmt,
                 fixed::RoundingScheme scheme) {
-  QTensor out(x.shape, out_fmt);
-  for (std::size_t i = 0; i < x.raw.size(); ++i)
-    out.raw[i] = hwmodel::rescale_raw(x.raw[i], x.fmt.qf, out_fmt, scheme);
+  QTensor out;
+  OpRun run;
+  rescale_to(x, out_fmt, scheme, out, run);
   return out;
 }
 
-QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
-                    const fixed::FixedFormat* fold_fmt) {
+template <typename TI, typename TO>
+void squash_last_to(const QTensorT<TI>& s, fixed::FixedFormat out_fmt,
+                    const fixed::FixedFormat* fold_fmt, QTensorT<TO>& out,
+                    OpRun& run) {
   QCAPS_CHECK(!s.shape.empty());
   const std::int64_t d = s.dim(-1);
   const std::int64_t rows = s.numel() / d;
@@ -387,39 +524,59 @@ QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
     hi = fold.hi;
     result_fmt = *fold_fmt;
   }
-  QTensor out(s.shape, result_fmt);
+  out = QTensorT<TO>(s.shape, result_fmt);
+  const std::int64_t rail_lo = result_fmt.raw_min();
+  const std::int64_t rail_hi = result_fmt.raw_max();
+  std::int64_t max_abs = 0;
+  std::uint64_t at_rail = 0;
   // Blocked rows: one norms pass, one batched gain (vector NR over lanes of
   // rows), one scale pass — same bits as the per-row loop in any order.
   constexpr std::int64_t kBlock = 64;
   const std::int64_t nblocks = (rows + kBlock - 1) / kBlock;
-#pragma omp parallel for schedule(static) if (rows > 64)
+#pragma omp parallel for schedule(static) if (rows > 64) \
+    reduction(max : max_abs) reduction(+ : at_rail)
   for (std::int64_t blk = 0; blk < nblocks; ++blk) {
     const std::int64_t r0 = blk * kBlock;
     const std::int64_t rc = std::min(kBlock, rows - r0);
     std::int64_t nsq[kBlock];
     std::int64_t gain[kBlock];
     for (std::int64_t rr = 0; rr < rc; ++rr) {
-      const std::int64_t* src = s.raw.data() + (r0 + rr) * d;
+      const TI* src = s.raw.data() + (r0 + rr) * d;
       std::int64_t acc = 0;
       for (std::int64_t j = 0; j < d; ++j) {
-        const std::int64_t wide = src[j] * src[j];
+        const std::int64_t wide = static_cast<std::int64_t>(src[j]) * src[j];
         acc += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
       }
       nsq[rr] = acc;
     }
     unit.gain_raw_n(nsq, gain, rc);
     for (std::int64_t rr = 0; rr < rc; ++rr) {
-      const std::int64_t* src = s.raw.data() + (r0 + rr) * d;
-      std::int64_t* dst = out.raw.data() + (r0 + rr) * d;
-      for (std::int64_t j = 0; j < d; ++j)
-        dst[j] = std::clamp((src[j] * gain[rr] + half) >> shift, lo, hi);
+      const TI* src = s.raw.data() + (r0 + rr) * d;
+      TO* dst = out.raw.data() + (r0 + rr) * d;
+      for (std::int64_t j = 0; j < d; ++j) {
+        const std::int64_t v =
+            std::clamp((src[j] * gain[rr] + half) >> shift, lo, hi);
+        dst[j] = static_cast<TO>(v);
+        note(v, rail_lo, rail_hi, max_abs, at_rail);
+      }
     }
   }
+  run = OpRun{max_abs, at_rail, 0};
+}
+
+QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
+                    const fixed::FixedFormat* fold_fmt) {
+  QTensor out;
+  OpRun run;
+  squash_last_to(s, out_fmt, fold_fmt, out, run);
   return out;
 }
 
-QTensor dynamic_routing(const QTensor& votes, int iterations,
-                        fixed::FixedFormat act_fmt, fixed::FixedFormat dr_fmt) {
+template <typename TI, typename TO>
+void dynamic_routing_to(const QTensorT<TI>& votes, std::int64_t votes_max_abs,
+                        int iterations, fixed::FixedFormat act_fmt,
+                        fixed::FixedFormat dr_fmt, QTensorT<TO>& out,
+                        OpRun& run) {
   QCAPS_CHECK_MSG(votes.shape.size() == 4, "votes must be [R, Nout, Nin, D]");
   QCAPS_CHECK(iterations >= 1);
   const std::int64_t r_count = votes.dim(0), nout = votes.dim(1),
@@ -428,8 +585,9 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
 
   const hwmodel::SoftmaxUnit softmax(dr_fmt);
   const hwmodel::SquashUnit squash(dr_fmt);
-  QTensor v_out({r_count, nout, d}, act_fmt);
-  if (v_out.numel() == 0) return v_out;
+  out = QTensorT<TO>({r_count, nout, d}, act_fmt);
+  run = OpRun{};
+  if (out.numel() == 0) return;
 
   // Integer fast path: with the j-major layout both contractions walk
   // unit-stride int32 slabs, and exact int32 accumulation is admissible as
@@ -438,20 +596,25 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
   // by 2^(wl-1); the votes' actual range is scanned once. Integer addition
   // is associative, so the int32 and int64 paths are bit-identical — the
   // requant points (rescale into QDR before squash, per Fig. 9) are
-  // untouched.
-  const std::int64_t umax = votes.max_abs_raw();
+  // untouched. The votes are widened once at entry: to int32 on the fast
+  // path, to int64 on the exact one.
+  const std::int64_t umax = votes_max_abs;
   const int bu = std::bit_width(static_cast<std::uint64_t>(umax));
   const int bact = act_fmt.wordlength();  // |c|, |v| <= 2^(wl-1)
   const bool i32_ok =
       bu + bact + ceil_log2(std::max<std::int64_t>(std::max(nin, d), 1)) <= 30;
   std::vector<std::int32_t> u32;
-  if (i32_ok) {
-    u32.resize(votes.raw.size());
-    for (std::size_t i = 0; i < votes.raw.size(); ++i)
-      u32[i] = static_cast<std::int32_t>(votes.raw[i]);
-  }
+  std::vector<std::int64_t> u64;
+  if (i32_ok)
+    u32.assign(votes.raw.begin(), votes.raw.end());
+  else
+    u64.assign(votes.raw.begin(), votes.raw.end());
+  const std::int64_t rail_lo = act_fmt.raw_min(), rail_hi = act_fmt.raw_max();
+  std::int64_t max_abs = 0;
+  std::uint64_t at_rail = 0;
 
-#pragma omp parallel for schedule(static) if (r_count > 4)
+#pragma omp parallel for schedule(static) if (r_count > 4) \
+    reduction(max : max_abs) reduction(+ : at_rail)
   for (std::int64_t r = 0; r < r_count; ++r) {
     // Per-row state: logits b (dr fmt), couplings c (act fmt). Both are
     // held j-major [Nout, Nin] — the transposed-batch orientation: the
@@ -467,7 +630,7 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
     std::vector<std::int64_t> c_raw(static_cast<std::size_t>(nout * nin), 0);
     std::vector<std::int64_t> nsq_scratch(static_cast<std::size_t>(nout));
     std::vector<std::int64_t> gain_scratch(static_cast<std::size_t>(nout));
-    const std::int64_t* u = votes.raw.data() + r * nout * nin * d;
+    const std::int64_t* u = i32_ok ? nullptr : u64.data() + r * nout * nin * d;
     const std::int32_t* ur32 = i32_ok ? u32.data() + r * nout * nin * d
                                       : nullptr;
 
@@ -571,10 +734,23 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
         }
       }
     }
-    std::copy(v_raw.begin(), v_raw.end(),
-              v_out.raw.begin() + r * nout * d);
+    TO* dst = out.raw.data() + r * nout * d;
+    for (std::size_t t = 0; t < v_raw.size(); ++t) {
+      dst[t] = static_cast<TO>(v_raw[t]);
+      note(v_raw[t], rail_lo, rail_hi, max_abs, at_rail);
+    }
   }
-  return v_out;
+  run.max_abs = max_abs;
+  run.at_rail = at_rail;
+}
+
+QTensor dynamic_routing(const QTensor& votes, int iterations,
+                        fixed::FixedFormat act_fmt, fixed::FixedFormat dr_fmt) {
+  QTensor out;
+  OpRun run;
+  dynamic_routing_to(votes, votes.max_abs_raw(), iterations, act_fmt, dr_fmt,
+                     out, run);
+  return out;
 }
 
 QTensor matmul(const QTensor& a, const QTensor& b, fixed::FixedFormat out_fmt,
@@ -602,7 +778,7 @@ QTensor matmul(const QTensor& a, const QTensor& b, fixed::FixedFormat out_fmt,
   }
 
   // Exact int64 scalar path (wide operands or non-RTN schemes).
-  check_i64_acc(a, b, k, "qengine matmul");
+  check_i64_acc(a.max_abs_raw(), b.max_abs_raw(), k, "qengine matmul");
 #pragma omp parallel for schedule(static) if (m * n * k > (1 << 16))
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
@@ -662,10 +838,12 @@ QGemmOperandCache make_operand_cache(const QTensor& t) {
   return cache;
 }
 
-QTensor vote_transform(const QTensor& u, const QTensor& w,
-                       fixed::FixedFormat out_fmt,
+template <typename TI, typename TO>
+void vote_transform_to(const QTensorT<TI>& u, std::int64_t u_max_abs,
+                       const QTensor& w, fixed::FixedFormat out_fmt,
                        fixed::RoundingScheme scheme,
-                       const QGemmOperandCache* w_cache) {
+                       const QGemmOperandCache* w_cache, QTensorT<TO>& votes,
+                       OpRun& run) {
   QCAPS_CHECK_MSG(u.shape.size() == 3 && w.shape.size() == 4,
                   "vote_transform expects u [B,Nin,Din], w [Nin,Nout,Dout,Din]");
   const std::int64_t b = u.dim(0), nin = u.dim(1), din = u.dim(2);
@@ -675,41 +853,65 @@ QTensor vote_transform(const QTensor& u, const QTensor& w,
                   "vote_transform weight cache was not built");
   const std::int64_t jd = nout * dout;
   const int acc_qf = u.fmt.qf + w.fmt.qf;
-  QTensor votes({b, nout, nin, dout}, out_fmt);
-  if (din == 0 || votes.numel() == 0) return votes;
+  votes = QTensorT<TO>({b, nout, nin, dout}, out_fmt);
+  run = OpRun{};
+  if (din == 0 || votes.numel() == 0) {
+    note_zeros(out_fmt, votes.numel(), run);
+    return;
+  }
 
+  const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
   if (requant_expressible(acc_qf, out_fmt, scheme)) {
-    const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
-    const int tier = qgemm_tier(u.max_abs_raw(), wmax, din);
+    const int tier = qgemm_tier(u_max_abs, wmax, din);
     if (tier != 0) {
       const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
+      tensor::QGemmOutStats st = rail_stats(out_fmt);
       if (tier == 1)
         run_qgemm_votes<std::int8_t>(u, w, w_cache, b, nin, din, nout, dout,
-                                     rq, votes.raw.data());
+                                     rq, votes, st);
       else
         run_qgemm_votes<std::int16_t>(u, w, w_cache, b, nin, din, nout, dout,
-                                      rq, votes.raw.data());
-      return votes;
+                                      rq, votes, st);
+      take_stats(st, tier == 1 ? 8 : 16, run);
+      return;
     }
   }
 
   // Exact int64 scalar path, writing the j-major layout directly.
-  check_i64_acc(u, w, din, "qengine vote_transform");
-#pragma omp parallel for collapse(2) schedule(static)
+  check_i64_acc(u_max_abs, wmax, din, "qengine vote_transform");
+  const std::int64_t lo = out_fmt.raw_min(), hi = out_fmt.raw_max();
+  std::int64_t max_abs = 0;
+  std::uint64_t at_rail = 0;
+#pragma omp parallel for collapse(2) schedule(static) \
+    reduction(max : max_abs) reduction(+ : at_rail)
   for (std::int64_t bi = 0; bi < b; ++bi) {
     for (std::int64_t i = 0; i < nin; ++i) {
-      const std::int64_t* uv = u.raw.data() + (bi * nin + i) * din;
+      const TI* uv = u.raw.data() + (bi * nin + i) * din;
       const std::int64_t* wrow = w.raw.data() + i * jd * din;
       for (std::int64_t x = 0; x < jd; ++x) {
         std::int64_t acc = 0;
         for (std::int64_t p = 0; p < din; ++p)
           acc += wrow[x * din + p] * uv[p];
+        const std::int64_t v =
+            hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
         votes.raw[static_cast<std::size_t>(
             ((bi * nout + x / dout) * nin + i) * dout + x % dout)] =
-            hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
+            static_cast<TO>(v);
+        note(v, lo, hi, max_abs, at_rail);
       }
     }
   }
+  run = OpRun{max_abs, at_rail, 64};
+}
+
+QTensor vote_transform(const QTensor& u, const QTensor& w,
+                       fixed::FixedFormat out_fmt,
+                       fixed::RoundingScheme scheme,
+                       const QGemmOperandCache* w_cache) {
+  QTensor votes;
+  OpRun run;
+  vote_transform_to(u, u.max_abs_raw(), w, out_fmt, scheme, w_cache, votes,
+                    run);
   return votes;
 }
 
@@ -721,71 +923,45 @@ namespace {
 // columns, its A operand the t-th slice of the concatenated packed weights.
 // The same L2-resident batch chunking as conv2d_qgemm; chunking cannot
 // change results (exact int32 accumulation per output element).
-template <typename T>
-void conv_caps3d_votes_impl(const QTensor& x, const T* wp,
+template <typename T, typename TI, typename TO>
+void conv_caps3d_votes_impl(const QTensorT<TI>& x, const T* wp,
                             const tensor::QGemmRequant& rq, std::int64_t b,
                             std::int64_t in_types, std::int64_t din,
                             std::int64_t out_types, std::int64_t dout,
                             std::int64_t h, std::int64_t wd, std::int64_t k,
                             std::int64_t stride, std::int64_t pad,
-                            std::int64_t oh, std::int64_t ow,
-                            std::int64_t* votes) {
+                            std::int64_t oh, std::int64_t ow, TO* votes,
+                            tensor::QGemmOutStats& st) {
   const std::int64_t c = in_types * din;  // full channel count
   const std::int64_t kk = din * k * k;    // fan-in of ONE type's vote conv
   const std::int64_t jd = out_types * dout;
   const std::int64_t jd_all = out_types * in_types * dout;
   const std::int64_t plane = oh * ow;
-
-  constexpr std::int64_t kConvWorkingSetBytes = std::int64_t{1} << 20;
-  const std::int64_t bytes_per_col =
-      c * k * k * static_cast<std::int64_t>(sizeof(T)) + 12 * jd;
-  const std::int64_t chunk_b = std::clamp<std::int64_t>(
-      kConvWorkingSetBytes / std::max<std::int64_t>(bytes_per_col * plane, 1),
-      1, b);
+  const std::int64_t chunk_b = conv_chunk(
+      c * k * k * static_cast<std::int64_t>(sizeof(T)) +
+          in_types * jd *
+              static_cast<std::int64_t>(sizeof(std::int32_t) + sizeof(TO)),
+      plane, b);
 
   std::vector<T> cols;
   for (std::int64_t b0 = 0; b0 < b; b0 += chunk_b) {
     const std::int64_t bc = std::min<std::int64_t>(chunk_b, b - b0);
     const std::int64_t n_chunk = bc * plane;
-    if (pad > 0)
-      cols.assign(static_cast<std::size_t>(c * k * k * n_chunk), T{0});
-    else
-      cols.resize(static_cast<std::size_t>(c * k * k * n_chunk));
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (std::int64_t bi = 0; bi < bc; ++bi) {
-      for (std::int64_t ci = 0; ci < c; ++ci) {
-        const std::int64_t* xplane =
-            x.raw.data() + ((b0 + bi) * c + ci) * h * wd;
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            T* crow = cols.data() + ((ci * k + ky) * k + kx) * n_chunk +
-                      bi * plane;
-            for (std::int64_t y = 0; y < oh; ++y) {
-              const std::int64_t iy = y * stride + ky - pad;
-              if (iy < 0 || iy >= h) continue;
-              for (std::int64_t xx = 0; xx < ow; ++xx) {
-                const std::int64_t ix = xx * stride + kx - pad;
-                if (ix < 0 || ix >= wd) continue;
-                crow[y * ow + xx] = static_cast<T>(xplane[iy * wd + ix]);
-              }
-            }
-          }
-        }
-      }
-    }
+    cols.resize(static_cast<std::size_t>(c * k * k * n_chunk));
+    im2col_runs(x.raw.data(), b0, bc, c, h, wd, k, stride, pad, oh, ow,
+                cols.data());
 
     // Batch item t: votes[((b0+bi)*plane + p)*Tout*Tin*Dout
     //                     + j*Tin*Dout + t*Dout + dd]
     // for GEMM element (row j*Dout + dd, column bi*plane + p).
-    tensor::QGemmScatterDst sd;
+    tensor::QGemmScatterTo<TO> sd;
     sd.dst = votes + b0 * plane * jd_all;
     sd.row_inner = dout;                  // row splits as (j, dd)
     sd.row_outer_stride = in_types * dout;
     sd.row_inner_stride = 1;
     sd.col_outer_stride = jd_all;         // column index is linear (inner = 1)
     sd.batch_stride = dout;               // per input type t
+    sd.stats = &st;
     tensor::qgemm_batch_scatter(tensor::Trans::kN, tensor::Trans::kN, jd,
                                 n_chunk, kk, wp, kk, jd * kk, cols.data(),
                                 n_chunk, kk * n_chunk, in_types, rq, sd);
@@ -794,12 +970,15 @@ void conv_caps3d_votes_impl(const QTensor& x, const T* wp,
 
 }  // namespace
 
-bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
-                       fixed::FixedFormat w_fmt, std::int64_t in_types,
-                       std::int64_t in_dim, std::int64_t out_types,
-                       std::int64_t out_dim, std::int64_t ksize,
-                       std::int64_t stride, std::int64_t pad,
-                       fixed::FixedFormat out_fmt, QTensor& votes) {
+template <typename TI, typename TO>
+bool conv_caps3d_votes_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
+                          const QGemmOperandCache& grouped,
+                          fixed::FixedFormat w_fmt, std::int64_t in_types,
+                          std::int64_t in_dim, std::int64_t out_types,
+                          std::int64_t out_dim, std::int64_t ksize,
+                          std::int64_t stride, std::int64_t pad,
+                          fixed::FixedFormat out_fmt, QTensorT<TO>& votes,
+                          OpRun& run) {
   QCAPS_CHECK_MSG(x.shape.size() == 4 && x.dim(1) == in_types * in_dim,
                   "conv_caps3d_votes expects [B, Tin*Din, H, W] input");
   if (grouped.max_abs < 0) return false;
@@ -808,7 +987,7 @@ bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
                            fixed::RoundingScheme::kRoundToNearest))
     return false;
   const std::int64_t kk = in_dim * ksize * ksize;
-  const int tier = qgemm_tier(x.max_abs_raw(), grouped.max_abs, kk);
+  const int tier = qgemm_tier(x_max_abs, grouped.max_abs, kk);
   if (tier == 0) return false;
   if (tier == 1 && !grouped.has_i8()) return false;
   if (tier == 2 && !grouped.has_i16()) return false;
@@ -818,19 +997,32 @@ bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
   const std::int64_t ow = (wd + 2 * pad - ksize) / stride + 1;
   QCAPS_CHECK_MSG(votes.numel() == b * oh * ow * out_types * in_types * out_dim,
                   "conv_caps3d_votes: votes tensor has the wrong size");
+  run = OpRun{};
   if (votes.numel() == 0) return true;
   const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
+  tensor::QGemmOutStats st = rail_stats(out_fmt);
   if (tier == 1)
-    conv_caps3d_votes_impl<std::int8_t>(x, grouped.i8_data(), rq, b, in_types,
-                                        in_dim, out_types, out_dim, h, wd,
-                                        ksize, stride, pad, oh, ow,
-                                        votes.raw.data());
+    conv_caps3d_votes_impl(x, grouped.i8_data(), rq, b, in_types, in_dim,
+                           out_types, out_dim, h, wd, ksize, stride, pad, oh,
+                           ow, votes.raw.data(), st);
   else
-    conv_caps3d_votes_impl<std::int16_t>(x, grouped.i16_data(), rq, b,
-                                         in_types, in_dim, out_types, out_dim,
-                                         h, wd, ksize, stride, pad, oh, ow,
-                                         votes.raw.data());
+    conv_caps3d_votes_impl(x, grouped.i16_data(), rq, b, in_types, in_dim,
+                           out_types, out_dim, h, wd, ksize, stride, pad, oh,
+                           ow, votes.raw.data(), st);
+  take_stats(st, tier == 1 ? 8 : 16, run);
   return true;
+}
+
+bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
+                       fixed::FixedFormat w_fmt, std::int64_t in_types,
+                       std::int64_t in_dim, std::int64_t out_types,
+                       std::int64_t out_dim, std::int64_t ksize,
+                       std::int64_t stride, std::int64_t pad,
+                       fixed::FixedFormat out_fmt, QTensor& votes) {
+  OpRun run;
+  return conv_caps3d_votes_to(x, x.max_abs_raw(), grouped, w_fmt, in_types,
+                              in_dim, out_types, out_dim, ksize, stride, pad,
+                              out_fmt, votes, run);
 }
 
 tensor::Tensor lengths(const QTensor& caps) {
@@ -856,5 +1048,45 @@ tensor::Tensor lengths(const QTensor& caps) {
   }
   return out;
 }
+
+// ---- explicit instantiations: every (input, output) container pair ---------
+
+#define QCAPS_QENGINE_PAIR(TI, TO)                                            \
+  template void conv2d_to<TI, TO>(                                            \
+      const QTensorT<TI>&, std::int64_t, const QTensor&, const QTensor&,     \
+      std::int64_t, std::int64_t, fixed::FixedFormat, fixed::RoundingScheme, \
+      const QGemmOperandCache*, bool, const fixed::FixedFormat*,             \
+      QTensorT<TO>&, OpRun&);                                                 \
+  template void rescale_to<TI, TO>(const QTensorT<TI>&, fixed::FixedFormat,  \
+                                   fixed::RoundingScheme, QTensorT<TO>&,     \
+                                   OpRun&);                                   \
+  template void squash_last_to<TI, TO>(const QTensorT<TI>&,                  \
+                                       fixed::FixedFormat,                    \
+                                       const fixed::FixedFormat*,            \
+                                       QTensorT<TO>&, OpRun&);                \
+  template void dynamic_routing_to<TI, TO>(                                   \
+      const QTensorT<TI>&, std::int64_t, int, fixed::FixedFormat,            \
+      fixed::FixedFormat, QTensorT<TO>&, OpRun&);                             \
+  template void vote_transform_to<TI, TO>(                                    \
+      const QTensorT<TI>&, std::int64_t, const QTensor&, fixed::FixedFormat, \
+      fixed::RoundingScheme, const QGemmOperandCache*, QTensorT<TO>&,        \
+      OpRun&);                                                                \
+  template bool conv_caps3d_votes_to<TI, TO>(                                 \
+      const QTensorT<TI>&, std::int64_t, const QGemmOperandCache&,           \
+      fixed::FixedFormat, std::int64_t, std::int64_t, std::int64_t,          \
+      std::int64_t, std::int64_t, std::int64_t, std::int64_t,                \
+      fixed::FixedFormat, QTensorT<TO>&, OpRun&);
+#define QCAPS_QENGINE_FROM(TI)                  \
+  QCAPS_QENGINE_PAIR(TI, std::int8_t)           \
+  QCAPS_QENGINE_PAIR(TI, std::int16_t)          \
+  QCAPS_QENGINE_PAIR(TI, std::int32_t)          \
+  QCAPS_QENGINE_PAIR(TI, std::int64_t)          \
+  template void relu_to<TI>(QTensorT<TI>&, OpRun&);
+QCAPS_QENGINE_FROM(std::int8_t)
+QCAPS_QENGINE_FROM(std::int16_t)
+QCAPS_QENGINE_FROM(std::int32_t)
+QCAPS_QENGINE_FROM(std::int64_t)
+#undef QCAPS_QENGINE_FROM
+#undef QCAPS_QENGINE_PAIR
 
 }  // namespace qcaps::qengine

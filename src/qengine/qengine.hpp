@@ -145,8 +145,8 @@ QTensor matmul(const QTensor& a, const QTensor& b, fixed::FixedFormat out_fmt,
 /// in out_fmt — the layout dynamic_routing consumes. One strided batch of
 /// scattered GEMMs over the Nin input types on the fast path: the j-major
 /// permutation is an affine scatter fused into the qgemm requant epilogue
-/// (tensor::QGemmScatterDst), so votes land in routing order straight out of
-/// the microkernel with no intermediate dense result or widening-copy pass.
+/// (tensor::QGemmScatterTo), so votes land in routing order straight out of
+/// the microkernel with no intermediate dense result or copy pass.
 /// Exact int64 scalar fallback otherwise (bit-identical values). Pass
 /// `w_cache` (built from `w`) to skip re-packing constant weights.
 QTensor vote_transform(const QTensor& u, const QTensor& w,
@@ -176,5 +176,73 @@ bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
 /// squares accumulates exactly in int64 raw space; only the final square
 /// root is floating point.
 tensor::Tensor lengths(const QTensor& caps);
+
+// ---- container-generic forms (the QuantizedGraph executor's) ---------------
+//
+// One implementation per operator, templated on the input (TI) and output
+// (TO) storage containers: int8, int16, int32 or int64 (see
+// act_container_bits). The int64 public operators above are the
+// <int64, int64> instantiation. Each takes its input's largest |raw| from
+// the producer instead of scanning for it (the qgemm tier and the int32
+// exactness decisions use exactly that number), writes `out` (shape,
+// format and raws) and records in `run` what its output pass saw, so no
+// later pass has to scan the value again. The output format's rails must
+// fit TO.
+
+/// What an operator's output pass recorded about the value it wrote.
+struct OpRun {
+  std::int64_t max_abs = 0;   ///< largest |raw| written
+  std::uint64_t at_rail = 0;  ///< raws <= the format's raw_min or >= raw_max
+  /// Operand width of the node's integer GEMMs: 8 or 16 for the packed
+  /// qgemm tiers, 64 for the exact int64 path, 0 when no GEMM ran. When a
+  /// node runs several GEMMs this is the widest.
+  int qgemm_bits = 0;
+};
+
+template <typename TI, typename TO>
+void conv2d_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
+               const QTensor& w, const QTensor& bias, std::int64_t stride,
+               std::int64_t pad, fixed::FixedFormat out_fmt,
+               fixed::RoundingScheme scheme, const QGemmOperandCache* w_cache,
+               bool fuse_relu, const fixed::FixedFormat* fold_fmt,
+               QTensorT<TO>& out, OpRun& run);
+
+/// In-place ReLU; records the new largest |raw| (rails are not counted).
+template <typename T>
+void relu_to(QTensorT<T>& x, OpRun& run);
+
+template <typename TI, typename TO>
+void rescale_to(const QTensorT<TI>& x, fixed::FixedFormat out_fmt,
+                fixed::RoundingScheme scheme, QTensorT<TO>& out, OpRun& run);
+
+template <typename TI, typename TO>
+void squash_last_to(const QTensorT<TI>& s, fixed::FixedFormat out_fmt,
+                    const fixed::FixedFormat* fold_fmt, QTensorT<TO>& out,
+                    OpRun& run);
+
+template <typename TI, typename TO>
+void dynamic_routing_to(const QTensorT<TI>& votes, std::int64_t votes_max_abs,
+                        int iterations, fixed::FixedFormat act_fmt,
+                        fixed::FixedFormat dr_fmt, QTensorT<TO>& out,
+                        OpRun& run);
+
+template <typename TI, typename TO>
+void vote_transform_to(const QTensorT<TI>& u, std::int64_t u_max_abs,
+                       const QTensor& w, fixed::FixedFormat out_fmt,
+                       fixed::RoundingScheme scheme,
+                       const QGemmOperandCache* w_cache, QTensorT<TO>& votes,
+                       OpRun& run);
+
+/// `votes` must already have its shape and out_fmt; on false it is
+/// untouched.
+template <typename TI, typename TO>
+bool conv_caps3d_votes_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
+                          const QGemmOperandCache& grouped,
+                          fixed::FixedFormat w_fmt, std::int64_t in_types,
+                          std::int64_t in_dim, std::int64_t out_types,
+                          std::int64_t out_dim, std::int64_t ksize,
+                          std::int64_t stride, std::int64_t pad,
+                          fixed::FixedFormat out_fmt, QTensorT<TO>& votes,
+                          OpRun& run);
 
 }  // namespace qcaps::qengine

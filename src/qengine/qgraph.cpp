@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <type_traits>
+#include <variant>
 
 #include "common/error.hpp"
 #include "hwmodel/units.hpp"
@@ -18,6 +20,7 @@
 #include "nn/fc_caps.hpp"
 #include "nn/network.hpp"
 #include "nn/primary_caps.hpp"
+#include "tensor/caps_kernels.hpp"
 
 namespace qcaps::qengine {
 namespace {
@@ -171,13 +174,50 @@ QuantizedOp compile_conv_caps3d(const nn::RoutedConvCapsLayer& l,
 
 // ---- op execution ----------------------------------------------------------
 
+// An executor value: the activation in its planned storage container plus
+// what the pass that wrote it recorded (its range, its rail hits).
+using AnyAct = std::variant<QTensorT<std::int8_t>, QTensorT<std::int16_t>,
+                            QTensorT<std::int32_t>, QTensor>;
+struct Value {
+  AnyAct t;
+  OpRun run;
+};
+
+AnyAct empty_act(int bits) {
+  switch (bits) {
+    case 8: return QTensorT<std::int8_t>();
+    case 16: return QTensorT<std::int16_t>();
+    case 32: return QTensorT<std::int32_t>();
+    default: return QTensor();
+  }
+}
+
+std::int64_t act_bytes(const AnyAct& a) {
+  return std::visit(
+      [](const auto& t) {
+        return static_cast<std::int64_t>(t.raw.size() * sizeof(t.raw[0]));
+      },
+      a);
+}
+
+int act_bits_of(const AnyAct& a) {
+  return std::visit(
+      [](const auto& t) { return static_cast<int>(8 * sizeof(t.raw[0])); }, a);
+}
+
+// Run `fn` on an empty tensor of the container `f` needs (the pre-squash
+// and vote intermediates inside one node).
+template <typename Fn>
+void with_container(const fixed::FixedFormat& f, Fn&& fn) {
+  AnyAct a = empty_act(act_container_bits(f));
+  std::visit(fn, a);
+}
+
 // The one capsule-layout transpose the routing-bound ops share: gather
 // [B, T*D, H, W] feature-map raws into [B, T*HW, D] capsule rows.
-// (squash_channels used to pair this with a scatter back; it now squashes
-// in the channel-grouped layout directly.)
-void gather_caps_rows(const std::int64_t* src, std::int64_t b,
-                      std::int64_t types, std::int64_t d, std::int64_t plane,
-                      std::int64_t* dst) {
+template <typename T>
+void gather_caps_rows(const T* src, std::int64_t b, std::int64_t types,
+                      std::int64_t d, std::int64_t plane, T* dst) {
   for (std::int64_t bi = 0; bi < b; ++bi)
     for (std::int64_t t = 0; t < types; ++t)
       for (std::int64_t dd = 0; dd < d; ++dd)
@@ -186,14 +226,174 @@ void gather_caps_rows(const std::int64_t* src, std::int64_t b,
               src[((bi * types * d) + t * d + dd) * plane + p];
 }
 
-QTensor exec_conv_caps(const QuantizedOp& op, const QTensor& x) {
-  QTensor s = conv2d(x, op.weight, op.bias, op.stride, op.pad, op.mid_fmt,
-                     kRtn, &op.wcache);
-  return squash_channels(s, op.out_dim, op.out_fmt,
-                         op.fused_rescale ? &op.fused_out_fmt : nullptr);
+// One (image, capsule type) slab of squash_channels: capsule (y, x)'s D
+// elements sit `plane` apart, so the squared norms accumulate vertically
+// across the D channel rows, pixel block by pixel block, and the gain
+// rescales each element in a second pass. run_avx512 is the same body
+// compiled for AVX-512, where the 64-bit multiplies and the clamp vectorize.
+template <typename TI, typename TO>
+struct SquashSlab {
+  const hwmodel::SquashUnit& unit;
+  std::int64_t caps_dim, plane;
+  int shift_up, shift;
+  std::int64_t half, lo, hi;  ///< output rounding constant and clamp rails
+  std::int64_t rail_lo, rail_hi;  ///< the result format's rails (counted)
+
+  [[gnu::always_inline]] inline void body(const TI* src, TO* dst,
+                                          std::int64_t& max_abs_out,
+                                          std::uint64_t& at_rail_out) const {
+    constexpr std::int64_t kBlock = 512;
+    std::int64_t nsq[kBlock];
+    std::int64_t gain[kBlock];
+    std::int64_t max_abs = 0;
+    std::uint64_t at_rail = 0;
+    for (std::int64_t p0 = 0; p0 < plane; p0 += kBlock) {
+      const std::int64_t pc = std::min(kBlock, plane - p0);
+      std::fill(nsq, nsq + pc, std::int64_t{0});
+      for (std::int64_t j = 0; j < caps_dim; ++j) {
+        const TI* row = src + j * plane + p0;
+        if (shift_up >= 0)
+          for (std::int64_t p = 0; p < pc; ++p)
+            nsq[p] += (static_cast<std::int64_t>(row[p]) * row[p]) << shift_up;
+        else
+          for (std::int64_t p = 0; p < pc; ++p)
+            nsq[p] +=
+                (static_cast<std::int64_t>(row[p]) * row[p]) >> -shift_up;
+      }
+      unit.gain_raw_n(nsq, gain, pc);
+      for (std::int64_t j = 0; j < caps_dim; ++j) {
+        const TI* row = src + j * plane + p0;
+        TO* orow = dst + j * plane + p0;
+        for (std::int64_t p = 0; p < pc; ++p) {
+          const std::int64_t v =
+              std::clamp((row[p] * gain[p] + half) >> shift, lo, hi);
+          orow[p] = static_cast<TO>(v);
+          max_abs = std::max(max_abs, v < 0 ? -v : v);
+          at_rail += (v <= rail_lo || v >= rail_hi) ? 1 : 0;
+        }
+      }
+    }
+    max_abs_out = std::max(max_abs_out, max_abs);
+    at_rail_out += at_rail;
+  }
+#ifdef QCAPS_X86_NATIVE
+  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) void
+  run_avx512(const TI* src, TO* dst, std::int64_t& max_abs,
+             std::uint64_t& at_rail) const {
+    body(src, dst, max_abs, at_rail);
+  }
+#endif
+};
+
+// Per-capsule squash of a channel-grouped feature map (see squash_channels
+// in the header), TI -> TO, recording the output's range and rail hits.
+template <typename TI, typename TO>
+void squash_channels_to(const QTensorT<TI>& s, std::int64_t caps_dim,
+                        fixed::FixedFormat out_fmt,
+                        const fixed::FixedFormat* fold_fmt, QTensorT<TO>& out,
+                        OpRun& run) {
+  QCAPS_CHECK_MSG(s.shape.size() == 4 && s.dim(1) % caps_dim == 0,
+                  "squash_channels expects [B, T*D, H, W] with D = "
+                      << caps_dim);
+  const std::int64_t b = s.dim(0), c = s.dim(1), plane = s.dim(2) * s.dim(3);
+  const std::int64_t types = c / caps_dim;
+  // Squash in the channel-grouped layout directly: capsule (b, t, y, x)'s
+  // elements sit exactly `plane` apart, so per (b, t) slab the squared norms
+  // accumulate vertically across the D contiguous channel rows, pixel-block
+  // by pixel-block — one streaming pass, no transposes. Bit-identical to
+  // SquashUnit::apply per capsule: integer addition is order-free and the
+  // per-term shift, the gain, and the final rescale are element-local.
+  const hwmodel::SquashUnit unit(s.fmt);
+  const int shift_up = unit.internal_qf() - 2 * s.fmt.qf;
+  const int prod_qf = s.fmt.qf + unit.internal_qf();
+  // The output rescale always shifts DOWN (internal_qf >= out qf), so the
+  // round-to-nearest + saturate is inlined here — per-element calls into
+  // hwmodel::rescale_raw would dominate the second pass.
+  int shift = prod_qf - out_fmt.qf;
+  QCAPS_CHECK(shift > 0);
+  std::int64_t half = std::int64_t{1} << (shift - 1);
+  std::int64_t lo = out_fmt.raw_min(), hi = out_fmt.raw_max();
+  fixed::FixedFormat result_fmt = out_fmt;
+  if (fold_fmt != nullptr) {
+    // Compose the trailing rescale out_fmt -> *fold_fmt into this pass:
+    // same bits as squash-then-rescale, one traversal (fusion pass
+    // validated exactness before annotating).
+    const RescaleFold fold =
+        compose_rescale(shift, lo, hi, out_fmt, *fold_fmt);
+    QCAPS_CHECK_MSG(fold.ok, "squash_channels: inexact rescale fold");
+    shift = fold.shift;
+    half = fold.add;
+    lo = fold.lo;
+    hi = fold.hi;
+    result_fmt = *fold_fmt;
+  }
+  out = QTensorT<TO>(s.shape, result_fmt);
+  const SquashSlab<TI, TO> slab{unit,   caps_dim, plane, shift_up,
+                                shift,  half,     lo,    hi,
+                                result_fmt.raw_min(), result_fmt.raw_max()};
+#ifdef QCAPS_X86_NATIVE
+  const bool avx512 = tensor::caps_kernel() == tensor::Isa::kAvx512;
+#endif
+  std::int64_t max_abs = 0;
+  std::uint64_t at_rail = 0;
+  const std::int64_t slabs = b * types;
+#pragma omp parallel for schedule(static) if (slabs > 1) \
+    reduction(max : max_abs) reduction(+ : at_rail)
+  for (std::int64_t sl = 0; sl < slabs; ++sl) {
+    const TI* src = s.raw.data() + sl * caps_dim * plane;
+    TO* dst = out.raw.data() + sl * caps_dim * plane;
+#ifdef QCAPS_X86_NATIVE
+    if (avx512) {
+      slab.run_avx512(src, dst, max_abs, at_rail);
+      continue;
+    }
+#endif
+    slab.body(src, dst, max_abs, at_rail);
+  }
+  run = OpRun{max_abs, at_rail, 0};
 }
 
-QTensor exec_conv_caps3d(const QuantizedOp& op, const QTensor& x) {
+// Saturating raw add of two same-format values in one container.
+template <typename T>
+void residual_add_to(const QTensorT<T>& a, const QTensorT<T>& b,
+                     QTensorT<T>& out, OpRun& run) {
+  QCAPS_CHECK_MSG(a.shape == b.shape && a.fmt == b.fmt,
+                  "residual_add expects same-shape, same-format operands");
+  out = QTensorT<T>(a.shape, a.fmt);
+  const std::int64_t lo = a.fmt.raw_min(), hi = a.fmt.raw_max();
+  const std::int64_t n = a.numel();
+  std::int64_t max_abs = 0;
+  std::uint64_t at_rail = 0;
+#pragma omp parallel for schedule(static) if (n > (1 << 16)) \
+    reduction(max : max_abs) reduction(+ : at_rail)
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i);
+    const std::int64_t v = std::clamp<std::int64_t>(
+        static_cast<std::int64_t>(a.raw[k]) + b.raw[k], lo, hi);
+    out.raw[k] = static_cast<T>(v);
+    max_abs = std::max(max_abs, v < 0 ? -v : v);
+    at_rail += (v <= lo || v >= hi) ? 1 : 0;
+  }
+  run = OpRun{max_abs, at_rail, 0};
+}
+
+template <typename TI, typename TO>
+void exec_conv_caps(const QuantizedOp& op, const QTensorT<TI>& x,
+                    std::int64_t x_max_abs, QTensorT<TO>& out, OpRun& run) {
+  with_container(op.mid_fmt, [&](auto& s) {
+    OpRun srun;
+    conv2d_to(x, x_max_abs, op.weight, op.bias, op.stride, op.pad, op.mid_fmt,
+              kRtn, &op.wcache, false, nullptr, s, srun);
+    squash_channels_to(s, op.out_dim, op.out_fmt,
+                       op.fused_rescale ? &op.fused_out_fmt : nullptr, out,
+                       run);
+    run.qgemm_bits = srun.qgemm_bits;
+  });
+}
+
+template <typename TI, typename TO>
+void exec_conv_caps3d(const QuantizedOp& op, const QTensorT<TI>& x,
+                      std::int64_t x_max_abs, QTensorT<TO>& out, OpRun& run) {
   const std::int64_t b = x.dim(0), h = x.dim(2), w = x.dim(3);
   QCAPS_CHECK_MSG(x.dim(1) == op.in_types * op.in_dim,
                   op.source << ": expected " << op.in_types * op.in_dim
@@ -205,103 +405,134 @@ QTensor exec_conv_caps3d(const QuantizedOp& op, const QTensor& x) {
   const std::int64_t oplane = oh * ow;
   const std::int64_t jd = op.out_types * op.out_dim;
 
-  QTensor votes({b * oplane, op.out_types, op.in_types, op.out_dim},
-                op.out_fmt);
+  // Votes and routed capsules sit in the container of the node's activation
+  // format; the output gather converts to the (possibly folded) result.
+  with_container(op.out_fmt, [&](auto& votes) {
+    using TV = std::decay_t<decltype(votes.raw[0])>;
+    votes = QTensorT<TV>({b * oplane, op.out_types, op.in_types, op.out_dim},
+                         op.out_fmt);
+    OpRun vrun;
+    // Fused path (fusion pass set op.grouped): ONE im2col over the full
+    // channel set feeds a batch of Tin scattered GEMMs against the
+    // concatenated packed vote weights; votes land j-major straight out of
+    // the requant epilogue. Bit-identical to the per-type loop below.
+    const bool done =
+        op.grouped && op.grouped_cache &&
+        conv_caps3d_votes_to(x, x_max_abs, *op.grouped_cache,
+                             op.type_weights.front().fmt, op.in_types,
+                             op.in_dim, op.out_types, op.out_dim, k,
+                             op.stride, op.pad, op.out_fmt, votes, vrun);
 
-  // Fused path (fusion pass set op.grouped): ONE im2col over the full
-  // channel set feeds a batch of Tin scattered GEMMs against the
-  // concatenated packed vote weights; votes land j-major straight out of
-  // the requant epilogue. Bit-identical to the per-type loop below.
-  const bool done =
-      op.grouped && op.grouped_cache &&
-      conv_caps3d_votes(x, *op.grouped_cache,
-                        op.type_weights.front().fmt, op.in_types, op.in_dim,
-                        op.out_types, op.out_dim, k, op.stride, op.pad,
-                        op.out_fmt, votes);
-
-  // Per input type t: integer conv of that type's channel slice with its
-  // vote weights, then a strided scatter straight into the j-major votes
-  // layout [R, Nout, Nin, Dout] (R = B * OH * OW) the routing engine
-  // consumes — the per-position analogue of the fc_caps vote product.
-  if (!done) {
-    QTensor xs({b, op.in_dim, h, w}, x.fmt);
-    for (std::int64_t t = 0; t < op.in_types; ++t) {
-      for (std::int64_t bi = 0; bi < b; ++bi)
-        std::memcpy(xs.raw.data() + bi * op.in_dim * plane,
-                    x.raw.data() +
-                        (bi * op.in_types * op.in_dim + t * op.in_dim) * plane,
-                    static_cast<std::size_t>(op.in_dim * plane) *
-                        sizeof(std::int64_t));
-      const QTensor vmap =
-          conv2d(xs, op.type_weights[static_cast<std::size_t>(t)], QTensor(),
-                 op.stride, op.pad, op.out_fmt, kRtn,
-                 &op.type_caches[static_cast<std::size_t>(t)]);
-      const std::int64_t* pv = vmap.raw.data();
-      std::int64_t* pvotes = votes.raw.data();
-      for (std::int64_t bi = 0; bi < b; ++bi)
-        for (std::int64_t j = 0; j < op.out_types; ++j)
-          for (std::int64_t dd = 0; dd < op.out_dim; ++dd) {
-            const std::int64_t* src =
-                pv + (bi * jd + j * op.out_dim + dd) * oplane;
-            for (std::int64_t p = 0; p < oplane; ++p)
-              pvotes[(((bi * oplane + p) * op.out_types + j) * op.in_types +
-                      t) *
-                         op.out_dim +
-                     dd] = src[p];
+    // Per input type t: integer conv of that type's channel slice with its
+    // vote weights, then a strided scatter straight into the j-major votes
+    // layout [R, Nout, Nin, Dout] (R = B * OH * OW) the routing engine
+    // consumes — the per-position analogue of the fc_caps vote product.
+    // The slice copy records the slice's range for the conv's tier choice.
+    if (!done) {
+      vrun = OpRun{};
+      QTensorT<TI> xs({b, op.in_dim, h, w}, x.fmt);
+      QTensorT<TV> vmap;
+      const std::int64_t slice = op.in_dim * plane;
+      for (std::int64_t t = 0; t < op.in_types; ++t) {
+        std::int64_t xs_max = 0;
+        for (std::int64_t bi = 0; bi < b; ++bi) {
+          const TI* src = x.raw.data() +
+                          (bi * op.in_types * op.in_dim + t * op.in_dim) * plane;
+          TI* dst = xs.raw.data() + bi * slice;
+          for (std::int64_t e = 0; e < slice; ++e) {
+            const std::int64_t v = src[e];
+            dst[e] = src[e];
+            xs_max = std::max(xs_max, v < 0 ? -v : v);
           }
+        }
+        OpRun trun;
+        conv2d_to(xs, xs_max, op.type_weights[static_cast<std::size_t>(t)],
+                  QTensor(), op.stride, op.pad, op.out_fmt, kRtn,
+                  &op.type_caches[static_cast<std::size_t>(t)], false,
+                  nullptr, vmap, trun);
+        vrun.max_abs = std::max(vrun.max_abs, trun.max_abs);
+        vrun.qgemm_bits = std::max(vrun.qgemm_bits, trun.qgemm_bits);
+        const TV* pv = vmap.raw.data();
+        TV* pvotes = votes.raw.data();
+        for (std::int64_t bi = 0; bi < b; ++bi)
+          for (std::int64_t j = 0; j < op.out_types; ++j)
+            for (std::int64_t dd = 0; dd < op.out_dim; ++dd) {
+              const TV* src = pv + (bi * jd + j * op.out_dim + dd) * oplane;
+              for (std::int64_t p = 0; p < oplane; ++p)
+                pvotes[(((bi * oplane + p) * op.out_types + j) *
+                            op.in_types +
+                        t) *
+                           op.out_dim +
+                       dd] = src[p];
+            }
+      }
     }
-  }
 
-  const QTensor v = dynamic_routing(votes, op.iterations, op.out_fmt,
-                                    op.dr_fmt);
+    QTensorT<TV> v;
+    OpRun rrun;
+    dynamic_routing_to(votes, vrun.max_abs, op.iterations, op.out_fmt,
+                       op.dr_fmt, v, rrun);
 
-  // Gather v[(b, y, x), j, dd] back into the feature map [B, Tout*Dout, ...].
-  // A folded trailing kRescale rides this pass for free: the per-element
-  // rescale_raw IS the rescale node's arithmetic, applied while the value
-  // is being copied anyway (exact for any format pair).
-  const fixed::FixedFormat ofmt =
-      op.fused_rescale ? op.fused_out_fmt : op.out_fmt;
-  QTensor out({b, jd, oh, ow}, ofmt);
-  const std::int64_t* pvv = v.raw.data();
-  std::int64_t* po = out.raw.data();
-  if (op.fused_rescale) {
+    // Gather v[(b, y, x), j, dd] back into the feature map [B, Tout*Dout,
+    // ...]. A folded trailing kRescale rides this pass for free: the
+    // per-element rescale_raw IS the rescale node's arithmetic, applied
+    // while the value is being copied anyway (exact for any format pair).
+    const fixed::FixedFormat ofmt =
+        op.fused_rescale ? op.fused_out_fmt : op.out_fmt;
+    out = QTensorT<TO>({b, jd, oh, ow}, ofmt);
+    const std::int64_t lo = ofmt.raw_min(), hi = ofmt.raw_max();
+    std::int64_t max_abs = 0;
+    std::uint64_t at_rail = 0;
+    const TV* pvv = v.raw.data();
+    TO* po = out.raw.data();
     for (std::int64_t bi = 0; bi < b; ++bi)
       for (std::int64_t c = 0; c < jd; ++c)
-        for (std::int64_t p = 0; p < oplane; ++p)
-          po[(bi * jd + c) * oplane + p] = hwmodel::rescale_raw(
-              pvv[(bi * oplane + p) * jd + c], op.out_fmt.qf, ofmt);
-  } else {
-    for (std::int64_t bi = 0; bi < b; ++bi)
-      for (std::int64_t c = 0; c < jd; ++c)
-        for (std::int64_t p = 0; p < oplane; ++p)
-          po[(bi * jd + c) * oplane + p] = pvv[(bi * oplane + p) * jd + c];
-  }
-  return out;
+        for (std::int64_t p = 0; p < oplane; ++p) {
+          const std::int64_t raw = pvv[(bi * oplane + p) * jd + c];
+          const std::int64_t y =
+              op.fused_rescale
+                  ? hwmodel::rescale_raw(raw, op.out_fmt.qf, ofmt)
+                  : raw;
+          po[(bi * jd + c) * oplane + p] = static_cast<TO>(y);
+          max_abs = std::max(max_abs, y < 0 ? -y : y);
+          at_rail += (y <= lo || y >= hi) ? 1 : 0;
+        }
+    run = OpRun{max_abs, at_rail, vrun.qgemm_bits};
+  });
 }
 
-QTensor exec_primary_caps(const QuantizedOp& op, const QTensor& x) {
-  QTensor s = conv2d(x, op.weight, op.bias, op.stride, op.pad, op.mid_fmt,
-                     kRtn, &op.wcache);
-  // [B, T*D, H', W'] -> capsule list [B, T*H'*W', D] (same traversal the
-  // hand-rolled deployment used — locked by the golden test).
-  const std::int64_t b = s.dim(0), plane = s.dim(2) * s.dim(3);
-  QTensor caps({b, op.caps_types * plane, op.caps_dim}, op.mid_fmt);
-  gather_caps_rows(s.raw.data(), b, op.caps_types, op.caps_dim, plane,
-                   caps.raw.data());
-  return squash_last(caps, op.out_fmt,
-                     op.fused_rescale ? &op.fused_out_fmt : nullptr);
+template <typename TI, typename TO>
+void exec_primary_caps(const QuantizedOp& op, const QTensorT<TI>& x,
+                       std::int64_t x_max_abs, QTensorT<TO>& out,
+                       OpRun& run) {
+  with_container(op.mid_fmt, [&](auto& s) {
+    using TM = std::decay_t<decltype(s.raw[0])>;
+    OpRun srun;
+    conv2d_to(x, x_max_abs, op.weight, op.bias, op.stride, op.pad, op.mid_fmt,
+              kRtn, &op.wcache, false, nullptr, s, srun);
+    // [B, T*D, H', W'] -> capsule list [B, T*H'*W', D] (same traversal the
+    // hand-rolled deployment used — locked by the golden test).
+    const std::int64_t b = s.dim(0), plane = s.dim(2) * s.dim(3);
+    QTensorT<TM> caps({b, op.caps_types * plane, op.caps_dim}, op.mid_fmt);
+    gather_caps_rows(s.raw.data(), b, op.caps_types, op.caps_dim, plane,
+                     caps.raw.data());
+    squash_last_to(caps, op.out_fmt,
+                   op.fused_rescale ? &op.fused_out_fmt : nullptr, out, run);
+    run.qgemm_bits = srun.qgemm_bits;
+  });
 }
 
-QTensor exec_flatten(const QuantizedOp& op, const QTensor& x) {
+template <typename T>
+void exec_flatten(const QuantizedOp& op, const QTensorT<T>& x,
+                  QTensorT<T>& out) {
   QCAPS_CHECK_MSG(x.shape.size() == 4 && x.dim(1) % op.caps_dim == 0,
                   op.source << ": expected [B, T*D, H, W] with D = "
                             << op.caps_dim);
   const std::int64_t b = x.dim(0), c = x.dim(1), plane = x.dim(2) * x.dim(3);
   const std::int64_t types = c / op.caps_dim;
-  QTensor out({b, types * plane, op.caps_dim}, x.fmt);
+  out = QTensorT<T>({b, types * plane, op.caps_dim}, x.fmt);
   gather_caps_rows(x.raw.data(), b, types, op.caps_dim, plane,
                    out.raw.data());
-  return out;
 }
 
 }  // namespace
@@ -333,80 +564,16 @@ std::int64_t QuantizedOp::weight_bits() const {
 QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
                         fixed::FixedFormat out_fmt,
                         const fixed::FixedFormat* fold_fmt) {
-  QCAPS_CHECK_MSG(s.shape.size() == 4 && s.dim(1) % caps_dim == 0,
-                  "squash_channels expects [B, T*D, H, W] with D = "
-                      << caps_dim);
-  const std::int64_t b = s.dim(0), c = s.dim(1), plane = s.dim(2) * s.dim(3);
-  const std::int64_t types = c / caps_dim;
-  // Squash in the channel-grouped layout directly: capsule (b, t, y, x)'s
-  // elements sit exactly `plane` apart, so per (b, t) slab the squared norms
-  // accumulate vertically across the D contiguous channel rows, pixel-block
-  // by pixel-block. This replaces the old gather-rows / squash / scatter-rows
-  // sequence (two full transposes of the tensor plus per-row FixedNum
-  // marshaling) with one streaming pass. Bit-identical: integer addition is
-  // order-free and the per-term shift, the gain, and the final rescale are
-  // element-local — exactly SquashUnit::apply's arithmetic.
-  const hwmodel::SquashUnit unit(s.fmt);
-  const int shift_up = unit.internal_qf() - 2 * s.fmt.qf;
-  const int prod_qf = s.fmt.qf + unit.internal_qf();
-  // The output rescale always shifts DOWN (internal_qf >= out qf), so the
-  // round-to-nearest + saturate is inlined here — per-element calls into
-  // hwmodel::rescale_raw would dominate the second pass.
-  int shift = prod_qf - out_fmt.qf;
-  QCAPS_CHECK(shift > 0);
-  std::int64_t half = std::int64_t{1} << (shift - 1);
-  std::int64_t lo = out_fmt.raw_min(), hi = out_fmt.raw_max();
-  fixed::FixedFormat result_fmt = out_fmt;
-  if (fold_fmt != nullptr) {
-    // Compose the trailing rescale out_fmt -> *fold_fmt into this pass:
-    // same bits as squash-then-rescale, one traversal (fusion pass
-    // validated exactness before annotating).
-    const RescaleFold fold =
-        compose_rescale(shift, lo, hi, out_fmt, *fold_fmt);
-    QCAPS_CHECK_MSG(fold.ok, "squash_channels: inexact rescale fold");
-    shift = fold.shift;
-    half = fold.add;
-    lo = fold.lo;
-    hi = fold.hi;
-    result_fmt = *fold_fmt;
-  }
-  QTensor out(s.shape, result_fmt);
-  const std::int64_t slabs = b * types;
-  constexpr std::int64_t kBlock = 512;
-#pragma omp parallel for schedule(static) if (slabs > 1)
-  for (std::int64_t sl = 0; sl < slabs; ++sl) {
-    const std::int64_t* src = s.raw.data() + sl * caps_dim * plane;
-    std::int64_t* dst = out.raw.data() + sl * caps_dim * plane;
-    std::int64_t nsq[kBlock];
-    std::int64_t gain[kBlock];
-    for (std::int64_t p0 = 0; p0 < plane; p0 += kBlock) {
-      const std::int64_t pc = std::min(kBlock, plane - p0);
-      std::fill(nsq, nsq + pc, std::int64_t{0});
-      for (std::int64_t j = 0; j < caps_dim; ++j) {
-        const std::int64_t* row = src + j * plane + p0;
-        for (std::int64_t p = 0; p < pc; ++p) {
-          const std::int64_t wide = row[p] * row[p];
-          nsq[p] += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
-        }
-      }
-      unit.gain_raw_n(nsq, gain, pc);
-      for (std::int64_t j = 0; j < caps_dim; ++j) {
-        const std::int64_t* row = src + j * plane + p0;
-        std::int64_t* orow = dst + j * plane + p0;
-        for (std::int64_t p = 0; p < pc; ++p)
-          orow[p] = std::clamp((row[p] * gain[p] + half) >> shift, lo, hi);
-      }
-    }
-  }
+  QTensor out;
+  OpRun run;
+  squash_channels_to(s, caps_dim, out_fmt, fold_fmt, out, run);
   return out;
 }
 
 QTensor residual_add(const QTensor& a, const QTensor& b) {
-  QCAPS_CHECK_MSG(a.shape == b.shape && a.fmt == b.fmt,
-                  "residual_add expects same-shape, same-format operands");
-  QTensor out(a.shape, a.fmt);
-  for (std::size_t i = 0; i < a.raw.size(); ++i)
-    out.raw[i] = hwmodel::saturate_raw(a.raw[i] + b.raw[i], a.fmt);
+  QTensor out;
+  OpRun run;
+  residual_add_to(a, b, out, run);
   return out;
 }
 
@@ -598,6 +765,7 @@ QuantizedGraph QuantizedGraph::compile(nn::Network& net,
   QCAPS_CHECK_MSG(!g.ops_.empty(), "cannot compile an empty network");
   if (track_saturation) g.sat_ = std::make_shared<SatCounters>(g.ops_.size());
   g.init_profile();
+  g.plan_containers();
   if (fuse_enabled()) g.fuse();
   return g;
 }
@@ -634,7 +802,29 @@ QuantizedGraph QuantizedGraph::from_ops(std::vector<QuantizedOp> ops,
   g.input_fmt_ = input_fmt;
   if (track_saturation) g.sat_ = std::make_shared<SatCounters>(g.ops_.size());
   g.init_profile();
+  g.plan_containers();
   return g;
+}
+
+void QuantizedGraph::plan_containers() {
+  // A node that forwards or combines values in place (relu, flatten, the
+  // residual add, a fused-away alias) keeps its input's format; every other
+  // node produces its (possibly folded) output format.
+  std::vector<fixed::FixedFormat> fmt(ops_.size());
+  value_bits_.assign(ops_.size(), 64);
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    const QuantizedOp& op = ops_[i];
+    const bool keeps_input =
+        op.fused_away || op.kind == QOpKind::kRelu ||
+        op.kind == QOpKind::kFlatten || op.kind == QOpKind::kResidualAdd;
+    if (keeps_input)
+      fmt[i] = op.input < 0 ? input_fmt_
+                            : fmt[static_cast<std::size_t>(op.input)];
+    else
+      fmt[i] = op.fused_rescale ? op.fused_out_fmt : op.out_fmt;
+    value_bits_[i] = act_container_bits(fmt[i]);
+    if (prof_) prof_->container[i] = value_bits_[i];
+  }
 }
 
 bool QuantizedGraph::fuse_enabled() {
@@ -801,6 +991,7 @@ void QuantizedGraph::fuse() {
       if (prof_) prof_->fused_from[i] = "grouped-votes";
     }
   }
+  plan_containers();
 }
 
 namespace {
@@ -842,12 +1033,22 @@ QuantizedGraph::NodeProfile::~NodeProfile() {
   }
   std::fprintf(f, "{\"nodes\": [");
   for (std::size_t i = 0; i < source.size(); ++i) {
+    const int seen = qgemm_seen[i].load(std::memory_order_relaxed);
+    std::string qgemm;
+    for (const auto& [bit, name] :
+         {std::pair{2, "i8"}, std::pair{4, "i16"}, std::pair{1, "i64"}})
+      if (seen & bit) {
+        if (!qgemm.empty()) qgemm += '+';
+        qgemm += name;
+      }
     std::fprintf(
         f, "%s\n {\"index\":%zu,\"source\":\"%s\",\"kind\":\"%s\",\"ns\":%lld,"
-           "\"bytes\":%lld,\"fused_from\":[%s%s%s]}",
+           "\"bytes\":%lld,\"container\":\"i%d\",\"qgemm\":\"%s\","
+           "\"fused_from\":[%s%s%s]}",
         i == 0 ? "" : ",", i, source[i].c_str(), kind[i].c_str(),
         static_cast<long long>(ns[i].load(std::memory_order_relaxed)),
         static_cast<long long>(bytes[i].load(std::memory_order_relaxed)),
+        container[i], qgemm.empty() ? "-" : qgemm.c_str(),
         fused_from[i].empty() ? "" : "\"", fused_from[i].c_str(),
         fused_from[i].empty() ? "" : "\"");
   }
@@ -905,12 +1106,42 @@ void QuantizedGraph::init_profile() {
   }
 }
 
-QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
+namespace {
+
+// The network input, quantized into its container with its range recorded.
+template <typename T>
+void quantize_input(const tensor::Tensor& images, fixed::FixedFormat fmt,
+                    QTensorT<T>& out, OpRun& run) {
+  out = QTensorT<T>(images.shape(), fmt);
+  std::int64_t max_abs = 0;
+  for (std::int64_t i = 0; i < images.numel(); ++i) {
+    const std::int64_t v = fixed::to_raw(images[i], fmt, kRtn);
+    out.raw[static_cast<std::size_t>(i)] = static_cast<T>(v);
+    max_abs = std::max(max_abs, v < 0 ? -v : v);
+  }
+  run = OpRun{max_abs, 0, 0};
+}
+
+int qgemm_seen_bit(int qgemm_bits) {
+  switch (qgemm_bits) {
+    case 8: return 2;
+    case 16: return 4;
+    case 64: return 1;
+    default: return 0;
+  }
+}
+
+}  // namespace
+
+QTensor QuantizedGraph::forward(const tensor::Tensor& images,
+                                std::vector<NodeTrace>* trace) const {
   QCAPS_CHECK_MSG(!ops_.empty(), "forward on an empty graph");
   QCAPS_CHECK_MSG(images.ndim() == 4, "expected [B, C, H, W] images");
-  const QTensor x0 = QTensor::from_float(images, input_fmt_);
-  std::vector<QTensor> vals(ops_.size());
-  const auto val = [&](int idx) -> const QTensor& {
+  Value x0{empty_act(act_container_bits(input_fmt_)), {}};
+  std::visit([&](auto& t) { quantize_input(images, input_fmt_, t, x0.run); },
+             x0.t);
+  std::vector<Value> vals(ops_.size());
+  const auto val = [&](int idx) -> const Value& {
     return idx < 0 ? x0 : vals[static_cast<std::size_t>(idx)];
   };
   // Last consumer of each value: intermediates are freed as soon as no
@@ -923,110 +1154,164 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
     if (ops_[i].input2 >= 0)
       last_use[static_cast<std::size_t>(ops_[i].input2)] = static_cast<int>(i);
   }
+  if (trace) trace->assign(ops_.size(), NodeTrace{});
   for (std::size_t i = 0; i < ops_.size(); ++i) {
     const QuantizedOp& op = ops_[i];
-    const QTensor& x = val(op.input);
+    const Value& xv = val(op.input);
+    Value& y = vals[i];
     const auto t0 = prof_ ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
+    // Forward the input unchanged: steal it when this is its last use (the
+    // common case: relu directly follows its conv) instead of copying.
+    const auto forward_input = [&] {
+      if (op.input >= 0 &&
+          last_use[static_cast<std::size_t>(op.input)] == static_cast<int>(i))
+        y = std::move(vals[static_cast<std::size_t>(op.input)]);
+      else
+        y = xv;
+      y.run.qgemm_bits = 0;
+    };
+    // Run `fn(x, out)` with out in this node's planned container.
+    const auto produce = [&](auto&& fn) {
+      y.t = empty_act(value_bits_[i]);
+      std::visit(fn, xv.t, y.t);
+    };
+    const std::int64_t xmax = xv.run.max_abs;
     switch (op.kind) {
       case QOpKind::kConv2d:
-        vals[i] = conv2d(x, op.weight, op.bias, op.stride, op.pad, op.out_fmt,
-                         kRtn, &op.wcache, op.fused_relu,
-                         op.fused_rescale ? &op.fused_out_fmt : nullptr);
+        produce([&](const auto& x, auto& out) {
+          conv2d_to(x, xmax, op.weight, op.bias, op.stride, op.pad,
+                    op.out_fmt, kRtn, &op.wcache, op.fused_relu,
+                    op.fused_rescale ? &op.fused_out_fmt : nullptr, out,
+                    y.run);
+        });
         break;
       case QOpKind::kRelu:
-        // Steal the input when this is its last use (the common case: relu
-        // directly follows its conv) instead of deep-copying the activation.
-        if (op.input >= 0 &&
-            last_use[static_cast<std::size_t>(op.input)] ==
-                static_cast<int>(i))
-          vals[i] = std::move(vals[static_cast<std::size_t>(op.input)]);
-        else
-          vals[i] = x;
+        forward_input();
         // Folded into the producing conv's requant clamp: the value already
         // is relu(conv(...)); this node just forwards it.
-        if (!op.fused_away) relu(vals[i]);
+        if (!op.fused_away)
+          std::visit([&](auto& t) { relu_to(t, y.run); }, y.t);
         break;
       case QOpKind::kRescale:
         // Folded into the producer's requant epilogue: the value already
-        // carries out_fmt, so forward it (stealing at last use, like relu).
+        // carries out_fmt, so forward it.
         if (op.fused_away) {
-          if (op.input >= 0 &&
-              last_use[static_cast<std::size_t>(op.input)] ==
-                  static_cast<int>(i))
-            vals[i] = std::move(vals[static_cast<std::size_t>(op.input)]);
-          else
-            vals[i] = x;
+          forward_input();
         } else {
-          vals[i] = rescale(x, op.out_fmt);
+          produce([&](const auto& x, auto& out) {
+            rescale_to(x, op.out_fmt, kRtn, out, y.run);
+          });
         }
         break;
       case QOpKind::kPrimaryCaps:
-        vals[i] = exec_primary_caps(op, x);
+        produce([&](const auto& x, auto& out) {
+          exec_primary_caps(op, x, xmax, out, y.run);
+        });
         break;
       case QOpKind::kVoteTransform:
-        QCAPS_CHECK_MSG(x.dim(1) == op.in_types && x.dim(2) == op.in_dim,
-                        op.source << ": capsule list shape mismatch");
-        vals[i] = vote_transform(x, op.weight, op.out_fmt, kRtn, &op.wcache);
+        produce([&](const auto& x, auto& out) {
+          QCAPS_CHECK_MSG(x.dim(1) == op.in_types && x.dim(2) == op.in_dim,
+                          op.source << ": capsule list shape mismatch");
+          vote_transform_to(x, xmax, op.weight, op.out_fmt, kRtn, &op.wcache,
+                            out, y.run);
+        });
         break;
       case QOpKind::kDynamicRouting:
-        vals[i] = dynamic_routing(x, op.iterations, op.out_fmt, op.dr_fmt);
+        produce([&](const auto& x, auto& out) {
+          dynamic_routing_to(x, xmax, op.iterations, op.out_fmt, op.dr_fmt,
+                             out, y.run);
+        });
         break;
       case QOpKind::kConvCaps:
-        vals[i] = exec_conv_caps(op, x);
+        produce([&](const auto& x, auto& out) {
+          exec_conv_caps(op, x, xmax, out, y.run);
+        });
         break;
       case QOpKind::kConvCaps3d:
-        vals[i] = exec_conv_caps3d(op, x);
+        produce([&](const auto& x, auto& out) {
+          exec_conv_caps3d(op, x, xmax, out, y.run);
+        });
         break;
       case QOpKind::kResidualAdd:
-        vals[i] = residual_add(x, val(op.input2));
+        std::visit(
+            [&](const auto& a) {
+              using QT = std::decay_t<decltype(a)>;
+              const QT* b = std::get_if<QT>(&val(op.input2).t);
+              QCAPS_CHECK_MSG(b != nullptr,
+                              op.source << ": residual operands are held in "
+                                           "different containers");
+              y.t = QT();
+              residual_add_to(a, *b, std::get<QT>(y.t), y.run);
+            },
+            xv.t);
         break;
       case QOpKind::kFlatten:
-        vals[i] = exec_flatten(op, x);
+        std::visit(
+            [&](const auto& x) {
+              using QT = std::decay_t<decltype(x)>;
+              y.t = QT();
+              exec_flatten(op, x, std::get<QT>(y.t));
+            },
+            xv.t);
+        y.run = OpRun{xv.run.max_abs, 0, 0};
         break;
     }
+    const fixed::FixedFormat yfmt =
+        std::visit([](const auto& t) { return t.fmt; }, y.t);
+    QCAPS_CHECK_MSG(act_bits_of(y.t) == value_bits_[i] &&
+                        act_container_bits(yfmt) == value_bits_[i],
+                    op.source << ": value does not match its planned "
+                                 "container");
     if (prof_) {
       const auto dt = std::chrono::steady_clock::now() - t0;
       prof_->ns[i].fetch_add(
           std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count(),
           std::memory_order_relaxed);
-      prof_->bytes[i].fetch_add(
-          static_cast<std::int64_t>(vals[i].raw.size() * sizeof(std::int64_t)),
-          std::memory_order_relaxed);
+      prof_->bytes[i].fetch_add(act_bytes(y.t), std::memory_order_relaxed);
+      prof_->qgemm_seen[i].fetch_or(qgemm_seen_bit(y.run.qgemm_bits),
+                                    std::memory_order_relaxed);
     }
-    // Requant-saturation accounting: count produced raws sitting exactly on
-    // the output format's rails. Anything requantized (conv, rescale,
-    // squash, routing, residual add) can only reach a rail by clamping —
-    // or by landing on it exactly, which is indistinguishable and rare.
-    // kRelu and kFlatten never requantize, so they are left uncounted
-    // (relu also steals its input, which may already be freed). A conv with
-    // a fused relu counts only the high rail: the raised lower clamp now
-    // produces legitimate relu zeros at qmin = 0, not saturation. The scan
-    // is O(numel) over a value the op just wrote — noise next to the conv
-    // that produced it — and touches only relaxed atomics, so replica pools
-    // can run it concurrently.
-    // A fused-away rescale forwards a value its producer already counted at
-    // the same composed rails — scanning it again would double-count.
+    if (trace) (*trace)[i] = {value_bits_[i], y.run.qgemm_bits};
+    // Requant-saturation accounting: the producer's output pass counted the
+    // raws sitting on the output format's rails while writing them.
+    // Anything requantized (conv, rescale, squash, routing, residual add)
+    // can only reach a rail by clamping — or by landing on it exactly,
+    // which is indistinguishable and rare. kRelu and kFlatten never
+    // requantize, so they are left uncounted. A conv with a fused relu
+    // cannot reach the (negative) lower rail, so only its high rail counts:
+    // the raised lower clamp produces legitimate relu zeros, not
+    // saturation. Only relaxed atomics are touched, so replica pools can
+    // run concurrently. A fused-away rescale forwards a value its producer
+    // already counted at the same composed rails — counting it again would
+    // double-count.
     if (sat_ && op.kind != QOpKind::kRelu && op.kind != QOpKind::kFlatten &&
         !op.fused_away) {
-      const QTensor& y = vals[i];
-      const std::int64_t lo = y.fmt.raw_min(), hi = y.fmt.raw_max();
-      std::uint64_t at_rail = 0;
-      if (op.fused_relu) {
-        for (const std::int64_t r : y.raw) at_rail += (r >= hi);
-      } else {
-        for (const std::int64_t r : y.raw) at_rail += (r <= lo || r >= hi);
-      }
-      sat_->saturated[i].fetch_add(at_rail, std::memory_order_relaxed);
-      sat_->total[i].fetch_add(static_cast<std::uint64_t>(y.numel()),
+      const std::int64_t n =
+          std::visit([](const auto& t) { return t.numel(); }, y.t);
+      sat_->saturated[i].fetch_add(y.run.at_rail, std::memory_order_relaxed);
+      sat_->total[i].fetch_add(static_cast<std::uint64_t>(n),
                                std::memory_order_relaxed);
     }
     for (const int in : {op.input, op.input2})
       if (in >= 0 && last_use[static_cast<std::size_t>(in)] ==
                          static_cast<int>(i))
-        vals[static_cast<std::size_t>(in)] = QTensor();
+        vals[static_cast<std::size_t>(in)] = Value{};
   }
-  return std::move(vals.back());
+  // Only the returned value is widened to int64.
+  return std::visit(
+      [](auto& t) -> QTensor {
+        if constexpr (std::is_same_v<std::decay_t<decltype(t)>, QTensor>) {
+          return std::move(t);
+        } else {
+          QTensor q;
+          q.raw.assign(t.raw.begin(), t.raw.end());
+          q.fmt = t.fmt;
+          q.shape = std::move(t.shape);
+          return q;
+        }
+      },
+      vals.back().t);
 }
 
 std::vector<NodeSaturation> QuantizedGraph::saturation() const {

@@ -209,9 +209,19 @@ class QuantizedGraph {
   /// Fusion kill switch: false when QCAPS_QGRAPH_FUSE=0 in the environment.
   static bool fuse_enabled();
 
+  /// One node's record of a forward (see forward's `trace`).
+  struct NodeTrace {
+    int container_bits = 0;  ///< storage width of the value it produced
+    int qgemm_bits = 0;      ///< width its GEMMs ran at (OpRun::qgemm_bits)
+  };
+
   /// Integer forward: images [B, C, H, W] in [0, 1] -> class capsules
-  /// [B, Ncls, D] in the final activation format.
-  QTensor forward(const tensor::Tensor& images) const;
+  /// [B, Ncls, D] in the final activation format. Every intermediate value
+  /// is held in the container value_bits() names; only the final one is
+  /// widened into the returned int64 QTensor. `trace`, when given, receives
+  /// one record per node.
+  QTensor forward(const tensor::Tensor& images,
+                  std::vector<NodeTrace>* trace = nullptr) const;
 
   /// Batched argmax-of-length classification (see Network::predict_batch).
   /// Integer arithmetic is order-exact, so the result is bit-identical to B
@@ -223,6 +233,10 @@ class QuantizedGraph {
   std::int64_t weight_bits() const;
 
   const std::vector<QuantizedOp>& ops() const { return ops_; }
+  /// Storage container (8, 16, 32 or 64 bits) of the value node i produces:
+  /// act_container_bits of its format. Fixed once per graph by compile(),
+  /// from_ops() and fuse() — a fused-away node shares its producer's.
+  int value_bits(std::size_t i) const { return value_bits_[i]; }
   fixed::FixedFormat input_format() const { return input_fmt_; }
   bool empty() const { return ops_.empty(); }
 
@@ -245,27 +259,36 @@ class QuantizedGraph {
     explicit SatCounters(std::size_t n) : saturated(n), total(n) {}
   };
 
-  /// Opt-in per-node profile (QCAPS_QGRAPH_PROFILE): wall time and produced
-  /// bytes per node, shared across copies like the saturation block. The
-  /// last copy's destructor dumps machine-readable JSON — one record per
-  /// node with index/source/kind/ns/bytes/fused_from — to stderr
+  /// Opt-in per-node profile (QCAPS_QGRAPH_PROFILE): wall time, produced
+  /// container bytes, container width and the qgemm widths seen per node,
+  /// shared across copies like the saturation block. The last copy's
+  /// destructor dumps machine-readable JSON — one record per node with
+  /// index/source/kind/ns/bytes/container/qgemm/fused_from — to stderr
   /// (QCAPS_QGRAPH_PROFILE=1) or to the file the variable names.
   struct NodeProfile {
     std::vector<std::string> source;
     std::vector<std::string> kind;
     std::vector<std::string> fused_from;  ///< sources folded in ("" = none)
+    std::vector<int> container;           ///< value_bits of the node
     std::vector<std::atomic<std::int64_t>> ns;
     std::vector<std::atomic<std::int64_t>> bytes;
+    /// OR of (1 << k) over the qgemm widths seen: k = 0 exact int64,
+    /// 1 int8, 2 int16.
+    std::vector<std::atomic<int>> qgemm_seen;
     std::string target;  ///< "1" or "" -> stderr, otherwise a file path
     explicit NodeProfile(std::size_t n)
-        : source(n), kind(n), fused_from(n), ns(n), bytes(n) {}
+        : source(n), kind(n), fused_from(n), container(n), ns(n), bytes(n),
+          qgemm_seen(n) {}
     ~NodeProfile();  // emits the JSON dump
   };
 
   /// Build prof_ when QCAPS_QGRAPH_PROFILE enables it (compile / from_ops).
   void init_profile();
+  /// Fix value_bits_ from the op formats (and the fusion annotations).
+  void plan_containers();
 
   std::vector<QuantizedOp> ops_;
+  std::vector<int> value_bits_;
   fixed::FixedFormat input_fmt_{1, 15};
   bool fused_ = false;
   std::shared_ptr<SatCounters> sat_;

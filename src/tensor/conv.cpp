@@ -189,11 +189,28 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
   grads.grad_weight = Tensor(weight.shape());
   if (has_bias) grads.grad_bias = Tensor({g.out_c});
 
-#pragma omp parallel
+  // Per-thread weight/bias partials, summed in thread-id order after the
+  // parallel region: a fixed-order reduction keeps the gradient
+  // bit-reproducible for a given team size (adding in arrival order is not
+  // above two threads).
+#ifdef _OPENMP
+  const int team = omp_get_max_threads();
+#else
+  const int team = 1;
+#endif
+  std::vector<Tensor> part_gw(static_cast<std::size_t>(team));
+  std::vector<Tensor> part_gb(static_cast<std::size_t>(team));
+#pragma omp parallel num_threads(team)
   {
+#ifdef _OPENMP
+    const std::size_t tid = static_cast<std::size_t>(omp_get_thread_num());
+#else
+    const std::size_t tid = 0;
+#endif
     std::vector<float> cols(static_cast<std::size_t>(patch * ncols));
-    Tensor local_gw(weight.shape());
-    Tensor local_gb = has_bias ? Tensor({g.out_c}) : Tensor();
+    Tensor& local_gw = part_gw[tid] = Tensor(weight.shape());
+    Tensor& local_gb = part_gb[tid] =
+        has_bias ? Tensor({g.out_c}) : Tensor();
 #pragma omp for schedule(static) nowait
     for (std::int64_t b = 0; b < batch; ++b) {
       const float* go = grad_output.data() + b * img_out;
@@ -246,11 +263,12 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
         }
       }
     }
-#pragma omp critical
-    {
-      axpy(grads.grad_weight, 1.0f, local_gw);
-      if (has_bias) axpy(grads.grad_bias, 1.0f, local_gb);
-    }
+  }
+  for (std::size_t t = 0; t < part_gw.size(); ++t) {
+    // A thread the runtime did not start left an empty partial.
+    if (part_gw[t].numel() == 0) continue;
+    axpy(grads.grad_weight, 1.0f, part_gw[t]);
+    if (has_bias) axpy(grads.grad_bias, 1.0f, part_gb[t]);
   }
   return grads;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -1059,23 +1060,107 @@ void qgemm_batch_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
 
 // ---- fused requantize + scatter epilogue -----------------------------------
 
-void check_scatter(const QGemmScatterDst& sd) {
+template <typename DstT>
+void check_scatter(const QGemmScatterTo<DstT>& sd, const QGemmRequant& rq) {
   QCAPS_CHECK_MSG(sd.dst != nullptr, "qgemm scatter destination is null");
   QCAPS_CHECK_MSG(sd.row_inner >= 1 && sd.col_inner >= 1,
                   "qgemm scatter inner split sizes must be >= 1");
+  QCAPS_CHECK_MSG(
+      rq.qmin >= std::numeric_limits<DstT>::min() &&
+          rq.qmax <= std::numeric_limits<DstT>::max(),
+      "qgemm scatter rails do not fit the destination element type");
 }
 
-// requant_pass, except each requantized element is widened to int64 and
-// written to the affine-scattered destination instead of back into C.
+#ifdef QCAPS_X86_NATIVE
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+// One output row of the unit-multiplier requant (the only form the
+// quantized engine emits) into unit-stride runs: column j lands at
+// dst[(j / run) * run_stride + j % run]. Per element
+//   r = shift >= 1 ? (acc + 2^(shift-1)) >> shift : acc << -shift,
+// which equals requant_one's (acc * 2^30 + 2^(29+shift)) >> (30 + shift)
+// exactly. 8 accumulators per step in int64 lanes (an int32 accumulator
+// plus an int32 bias can leave int32), masked run tails instead of scalar
+// ones, and the range / rail hits recorded on the way.
+template <typename DstT>
+__attribute__((target("avx512f"))) void requant_row_runs_avx512(
+    const std::int32_t* src, std::int64_t n, std::int64_t run,
+    std::int64_t run_stride, std::int64_t base, int shift,
+    std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax,
+    std::int64_t rail_lo, std::int64_t rail_hi, DstT* dst,
+    std::int64_t& max_abs, std::uint64_t& at_rail) {
+  const __m512i vbase = _mm512_set1_epi64(
+      base + (shift >= 1 ? (std::int64_t{1} << (shift - 1)) : 0));
+  const __m128i vshr = _mm_cvtsi32_si128(shift > 0 ? shift : 0);
+  const __m128i vshl = _mm_cvtsi32_si128(shift < 0 ? -shift : 0);
+  const __m512i vzero = _mm512_set1_epi64(c_zero);
+  const __m512i vmin = _mm512_set1_epi64(qmin);
+  const __m512i vmax = _mm512_set1_epi64(qmax);
+  const __m512i vlo = _mm512_set1_epi64(rail_lo);
+  const __m512i vhi = _mm512_set1_epi64(rail_hi);
+  __m512i vabs = _mm512_setzero_si512();
+  std::uint64_t hits = 0;
+  for (std::int64_t j0 = 0; j0 < n; j0 += run) {
+    const std::int64_t len = std::min(run, n - j0);
+    const std::int32_t* s = src + j0;
+    DstT* d = dst + (j0 / run) * run_stride;
+    for (std::int64_t j = 0; j < len; j += 8) {
+      const std::int64_t left = len - j;
+      const __mmask8 mk = left >= 8 ? static_cast<__mmask8>(0xFF)
+                                    : static_cast<__mmask8>((1u << left) - 1);
+      const __m256i a32 = _mm512_castsi512_si256(
+          _mm512_maskz_loadu_epi32(static_cast<__mmask16>(mk), s + j));
+      __m512i v = _mm512_add_epi64(_mm512_cvtepi32_epi64(a32), vbase);
+      v = shift >= 0 ? _mm512_sra_epi64(v, vshr) : _mm512_sll_epi64(v, vshl);
+      v = _mm512_add_epi64(v, vzero);
+      v = _mm512_min_epi64(_mm512_max_epi64(v, vmin), vmax);
+      vabs = _mm512_mask_max_epi64(vabs, mk, vabs, _mm512_abs_epi64(v));
+      hits += static_cast<std::uint64_t>(__builtin_popcount(
+          _mm512_mask_cmple_epi64_mask(mk, v, vlo) |
+          _mm512_mask_cmpge_epi64_mask(mk, v, vhi)));
+      if constexpr (sizeof(DstT) == 1)
+        _mm512_mask_cvtepi64_storeu_epi8(d + j, mk, v);
+      else if constexpr (sizeof(DstT) == 2)
+        _mm512_mask_cvtepi64_storeu_epi16(d + j, mk, v);
+      else if constexpr (sizeof(DstT) == 4)
+        _mm512_mask_cvtepi64_storeu_epi32(d + j, mk, v);
+      else
+        _mm512_mask_storeu_epi64(d + j, mk, v);
+    }
+  }
+  max_abs = std::max(max_abs,
+                     static_cast<std::int64_t>(_mm512_reduce_max_epi64(vabs)));
+  at_rail += hits;
+}
+#pragma GCC diagnostic pop
+#endif  // QCAPS_X86_NATIVE
+
+// requant_pass, except each requantized element is converted to DstT and
+// written to the affine-scattered destination instead of back into C; the
+// range and rail hits of what was written accumulate into sd.stats.
+template <typename DstT>
 void requant_scatter_pass(const std::int32_t* c, std::int64_t ldc,
                           std::int64_t m, std::int64_t n, std::int64_t k,
                           const QGemmRequant& rq, const std::int64_t* rowsum,
                           const std::int64_t* colsum,
-                          const QGemmScatterDst& sd, std::int64_t* dst) {
+                          const QGemmScatterTo<DstT>& sd, DstT* dst) {
   const std::int64_t zz =
       static_cast<std::int64_t>(rq.a_zero) * rq.b_zero * k;
+  const std::int64_t rail_lo = sd.stats ? sd.stats->rail_lo : INT64_MIN;
+  const std::int64_t rail_hi = sd.stats ? sd.stats->rail_hi : INT64_MAX;
+#ifdef QCAPS_X86_NATIVE
+  const bool vector_runs =
+      sd.col_inner_stride == 1 && colsum == nullptr &&
+      rq.multiplier == kQGemmUnitMultiplier && rq.row_multipliers == nullptr &&
+      rq.row_shifts == nullptr &&
+      (g_choice.tier == Isa::kAvx512 || g_choice.tier == Isa::kAvx512Vnni);
+#endif
+  std::int64_t max_abs = 0;
+  std::uint64_t at_rail = 0;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (want_parallel(m * n))
+#pragma omp parallel for schedule(static) if (want_parallel(m * n)) \
+    reduction(max : max_abs) reduction(+ : at_rail)
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
     const std::int64_t mult =
@@ -1085,27 +1170,42 @@ void requant_scatter_pass(const std::int32_t* c, std::int64_t ldc,
     if (rq.bias) base += rq.bias[i];
     if (rowsum) base -= static_cast<std::int64_t>(rq.b_zero) * rowsum[i];
     const std::int32_t* row = c + i * ldc;
-    std::int64_t* drow = dst + (i / sd.row_inner) * sd.row_outer_stride +
-                         (i % sd.row_inner) * sd.row_inner_stride;
+    DstT* drow = dst + (i / sd.row_inner) * sd.row_outer_stride +
+                 (i % sd.row_inner) * sd.row_inner_stride;
+#ifdef QCAPS_X86_NATIVE
+    if (vector_runs) {
+      requant_row_runs_avx512(row, n, sd.col_inner, sd.col_outer_stride, base,
+                              shift, rq.c_zero, rq.qmin, rq.qmax, rail_lo,
+                              rail_hi, drow, max_abs, at_rail);
+      continue;
+    }
+#endif
     std::int64_t j = 0;
     for (std::int64_t jo = 0; j < n; ++jo) {
-      std::int64_t* dcol = drow + jo * sd.col_outer_stride;
+      DstT* dcol = drow + jo * sd.col_outer_stride;
       const std::int64_t ji_end = std::min(sd.col_inner, n - j);
       for (std::int64_t ji = 0; ji < ji_end; ++ji, ++j) {
         std::int64_t acc = row[j] + base;
         if (colsum) acc -= static_cast<std::int64_t>(rq.a_zero) * colsum[j];
-        dcol[ji * sd.col_inner_stride] =
+        const std::int32_t v =
             requant_one(acc, mult, shift, rq.c_zero, rq.qmin, rq.qmax);
+        dcol[ji * sd.col_inner_stride] = static_cast<DstT>(v);
+        max_abs = std::max<std::int64_t>(max_abs, v < 0 ? -std::int64_t{v} : v);
+        at_rail += (v <= rail_lo || v >= rail_hi) ? 1 : 0;
       }
     }
   }
+  if (sd.stats) {
+    sd.stats->max_abs = std::max(sd.stats->max_abs, max_abs);
+    sd.stats->at_rail += at_rail;
+  }
 }
 
-template <typename SrcT>
+template <typename SrcT, typename DstT>
 void qgemm_scatter_one(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                        std::int64_t k, const SrcT* a, std::int64_t lda,
                        const SrcT* b, std::int64_t ldb, const QGemmRequant& rq,
-                       const QGemmScatterDst& sd, std::int64_t* dst) {
+                       const QGemmScatterTo<DstT>& sd, DstT* dst) {
   if (m <= 0 || n <= 0) return;
   // The accumulators bounce through a per-thread dense buffer; only the
   // epilogue is scattered, so the microkernels are untouched.
@@ -1122,25 +1222,40 @@ void qgemm_scatter_one(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                        colsum.empty() ? nullptr : colsum.data(), sd, dst);
 }
 
-template <typename SrcT>
+template <typename SrcT, typename DstT>
 void qgemm_batch_scatter_impl(Trans ta, Trans tb, std::int64_t m,
                               std::int64_t n, std::int64_t k, const SrcT* a,
                               std::int64_t lda, std::int64_t stride_a,
                               const SrcT* b, std::int64_t ldb,
                               std::int64_t stride_b, std::int64_t batch,
                               const QGemmRequant& rq,
-                              const QGemmScatterDst& sd) {
+                              const QGemmScatterTo<DstT>& sd) {
   if (batch <= 0) return;
   check_requant(rq);
   check_requant_rows(rq, m);
-  check_scatter(sd);
+  check_scatter(sd, rq);
 #ifdef _OPENMP
   if (batch > 1 && want_parallel(batch * m * n * k)) {
+    // Each item records into its own stats slot; the slots are combined in
+    // item order afterwards (max and sum are order-free anyway).
+    std::vector<QGemmOutStats> item_stats(
+        sd.stats ? static_cast<std::size_t>(batch) : 0);
 #pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < batch; ++i)
+    for (std::int64_t i = 0; i < batch; ++i) {
+      QGemmScatterTo<DstT> item = sd;
+      if (sd.stats) {
+        item.stats = &item_stats[static_cast<std::size_t>(i)];
+        item.stats->rail_lo = sd.stats->rail_lo;
+        item.stats->rail_hi = sd.stats->rail_hi;
+      }
       qgemm_scatter_one(ta, tb, m, n, k, a + i * stride_a, lda,
-                        b + i * stride_b, ldb, rq, sd,
+                        b + i * stride_b, ldb, rq, item,
                         sd.dst + i * sd.batch_stride);
+    }
+    for (const QGemmOutStats& st : item_stats) {
+      sd.stats->max_abs = std::max(sd.stats->max_abs, st.max_abs);
+      sd.stats->at_rail += st.at_rail;
+    }
     return;
   }
 #endif
@@ -1222,41 +1337,47 @@ void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                    ldc, stride_c, batch, rq);
 }
 
+template <typename SrcT, typename DstT>
 void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                   const std::int8_t* b, std::int64_t ldb,
-                   const QGemmRequant& rq, const QGemmScatterDst& sd) {
-  check_k_bound_s8(k, &rq);
-  qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq, sd);
+                   std::int64_t k, const SrcT* a, std::int64_t lda,
+                   const SrcT* b, std::int64_t ldb, const QGemmRequant& rq,
+                   const QGemmScatterTo<DstT>& sd) {
+  qgemm_batch_scatter(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq, sd);
 }
 
-void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int16_t* a, std::int64_t lda,
-                   const std::int16_t* b, std::int64_t ldb,
-                   const QGemmRequant& rq, const QGemmScatterDst& sd) {
-  qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq, sd);
-}
-
+template <typename SrcT, typename DstT>
 void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                         std::int64_t k, const std::int8_t* a,
-                         std::int64_t lda, std::int64_t stride_a,
-                         const std::int8_t* b, std::int64_t ldb,
-                         std::int64_t stride_b, std::int64_t batch,
-                         const QGemmRequant& rq, const QGemmScatterDst& sd) {
-  check_k_bound_s8(k, &rq);
+                         std::int64_t k, const SrcT* a, std::int64_t lda,
+                         std::int64_t stride_a, const SrcT* b,
+                         std::int64_t ldb, std::int64_t stride_b,
+                         std::int64_t batch, const QGemmRequant& rq,
+                         const QGemmScatterTo<DstT>& sd) {
+  static_assert(std::is_same_v<SrcT, std::int8_t> ||
+                    std::is_same_v<SrcT, std::int16_t>,
+                "qgemm operands are int8 or int16");
+  if constexpr (std::is_same_v<SrcT, std::int8_t>) check_k_bound_s8(k, &rq);
   qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb,
                            stride_b, batch, rq, sd);
 }
 
-void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                         std::int64_t k, const std::int16_t* a,
-                         std::int64_t lda, std::int64_t stride_a,
-                         const std::int16_t* b, std::int64_t ldb,
-                         std::int64_t stride_b, std::int64_t batch,
-                         const QGemmRequant& rq, const QGemmScatterDst& sd) {
-  qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb,
-                           stride_b, batch, rq, sd);
-}
+#define QCAPS_QGEMM_SCATTER(SrcT, DstT)                                       \
+  template void qgemm_scatter<SrcT, DstT>(                                    \
+      Trans, Trans, std::int64_t, std::int64_t, std::int64_t, const SrcT*,    \
+      std::int64_t, const SrcT*, std::int64_t, const QGemmRequant&,          \
+      const QGemmScatterTo<DstT>&);                                           \
+  template void qgemm_batch_scatter<SrcT, DstT>(                              \
+      Trans, Trans, std::int64_t, std::int64_t, std::int64_t, const SrcT*,    \
+      std::int64_t, std::int64_t, const SrcT*, std::int64_t, std::int64_t,    \
+      std::int64_t, const QGemmRequant&, const QGemmScatterTo<DstT>&);
+#define QCAPS_QGEMM_SCATTER_TO(SrcT)        \
+  QCAPS_QGEMM_SCATTER(SrcT, std::int8_t)    \
+  QCAPS_QGEMM_SCATTER(SrcT, std::int16_t)   \
+  QCAPS_QGEMM_SCATTER(SrcT, std::int32_t)   \
+  QCAPS_QGEMM_SCATTER(SrcT, std::int64_t)
+QCAPS_QGEMM_SCATTER_TO(std::int8_t)
+QCAPS_QGEMM_SCATTER_TO(std::int16_t)
+#undef QCAPS_QGEMM_SCATTER_TO
+#undef QCAPS_QGEMM_SCATTER
 
 Isa qgemm_kernel() { return g_choice.tier; }
 

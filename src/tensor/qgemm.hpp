@@ -130,9 +130,21 @@ void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                  std::int64_t ldc, std::int64_t stride_c, std::int64_t batch,
                  const QGemmRequant& rq);
 
+/// Optional record of what a scatter epilogue wrote, so the caller needs no
+/// second pass over the result to learn its range or its saturation: the
+/// largest |value| and how many values sit at or beyond the rails
+/// [rail_lo, rail_hi]. The outputs accumulate (max / sum) onto what the
+/// struct already holds, so one record can span several calls.
+struct QGemmOutStats {
+  std::int64_t rail_lo = INT64_MIN;  ///< in: lower rail to count
+  std::int64_t rail_hi = INT64_MAX;  ///< in: upper rail to count
+  std::int64_t max_abs = 0;          ///< out: largest |value| written
+  std::uint64_t at_rail = 0;         ///< out: values <= rail_lo or >= rail_hi
+};
+
 /// Affine scatter destination for the fused requantize+scatter epilogue
 /// (qgemm_scatter / qgemm_batch_scatter): output element (i, j) of the
-/// logical m x n result is requantized and written, widened to int64, at
+/// logical m x n result is requantized and written, converted to T, at
 ///
 ///   dst[(i / row_inner) * row_outer_stride
 ///       + (i % row_inner) * row_inner_stride
@@ -141,9 +153,13 @@ void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
 ///
 /// Splitting each output axis into two strided sub-axes expresses the
 /// capsule permutations (the j-major [R, Nout, Nin, D] votes layout) without
-/// a separate widening-copy pass over a dense result.
-struct QGemmScatterDst {
-  std::int64_t* dst = nullptr;
+/// a separate copy pass over a dense result. T is int8, int16, int32 or
+/// int64; the requant rails [qmin, qmax] must fit it. Runs with
+/// col_inner_stride == 1 are unit-stride and take a vector path on the
+/// AVX-512 tiers.
+template <typename T>
+struct QGemmScatterTo {
+  T* dst = nullptr;
   std::int64_t row_inner = 1;  ///< i splits as (i / row_inner, i % row_inner)
   std::int64_t row_outer_stride = 0;
   std::int64_t row_inner_stride = 0;
@@ -151,34 +167,29 @@ struct QGemmScatterDst {
   std::int64_t col_outer_stride = 0;
   std::int64_t col_inner_stride = 0;
   std::int64_t batch_stride = 0;  ///< dst advance per qgemm_batch_scatter item
+  QGemmOutStats* stats = nullptr;  ///< optional: range and rail hits written
 };
+using QGemmScatterDst = QGemmScatterTo<std::int64_t>;
 
 /// Scattered variant of qgemm: requant(op(A)[m,k] * op(B)[k,n]) per `rq`,
-/// each element written straight to `sd` (see QGemmScatterDst) instead of a
-/// dense int32 C. Bit-identical to qgemm followed by a widening scatter.
+/// each element written straight to `sd` (see QGemmScatterTo) instead of a
+/// dense int32 C. Bit-identical to qgemm followed by a converting scatter.
+/// SrcT is int8 or int16.
+template <typename SrcT, typename DstT>
 void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                   const std::int8_t* b, std::int64_t ldb,
-                   const QGemmRequant& rq, const QGemmScatterDst& sd);
-void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int16_t* a, std::int64_t lda,
-                   const std::int16_t* b, std::int64_t ldb,
-                   const QGemmRequant& rq, const QGemmScatterDst& sd);
+                   std::int64_t k, const SrcT* a, std::int64_t lda,
+                   const SrcT* b, std::int64_t ldb, const QGemmRequant& rq,
+                   const QGemmScatterTo<DstT>& sd);
 
 /// Strided batch of scattered requantizing GEMMs: item i reads
 /// a + i*stride_a / b + i*stride_b and writes to sd.dst + i*sd.batch_stride.
+template <typename SrcT, typename DstT>
 void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                         std::int64_t k, const std::int8_t* a,
-                         std::int64_t lda, std::int64_t stride_a,
-                         const std::int8_t* b, std::int64_t ldb,
-                         std::int64_t stride_b, std::int64_t batch,
-                         const QGemmRequant& rq, const QGemmScatterDst& sd);
-void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                         std::int64_t k, const std::int16_t* a,
-                         std::int64_t lda, std::int64_t stride_a,
-                         const std::int16_t* b, std::int64_t ldb,
-                         std::int64_t stride_b, std::int64_t batch,
-                         const QGemmRequant& rq, const QGemmScatterDst& sd);
+                         std::int64_t k, const SrcT* a, std::int64_t lda,
+                         std::int64_t stride_a, const SrcT* b,
+                         std::int64_t ldb, std::int64_t stride_b,
+                         std::int64_t batch, const QGemmRequant& rq,
+                         const QGemmScatterTo<DstT>& sd);
 
 /// The active microkernel tier.
 Isa qgemm_kernel();

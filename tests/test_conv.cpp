@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -225,6 +230,35 @@ TEST(ConvBackward, GradBiasIsOutputGradSum) {
   const float expected = static_cast<float>(out.dim(0) * out.dim(2) * out.dim(3));
   EXPECT_FLOAT_EQ(grads.grad_bias[0], expected);
   EXPECT_FLOAT_EQ(grads.grad_bias[1], expected);
+}
+
+// The weight/bias gradients are reductions over per-thread partials; they
+// are summed in thread-id order, so repeated calls at one team size give the
+// same bits (in arrival order, a 4-thread team gave differing sums).
+TEST(ConvBackward, WeightGradientIsBitReproducibleAtFourThreads) {
+#ifdef _OPENMP
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  common::Rng rng(8);
+  const Tensor input = Tensor::randn({32, 3, 16, 16}, rng);
+  const Tensor weight = Tensor::randn({8, 3, 3, 3}, rng, 0.0f, 0.5f);
+  const Tensor grad_out = Tensor::randn({32, 8, 16, 16}, rng);
+  const Conv2dGrads ref = conv2d_backward(input, weight, grad_out, 1, 1, true);
+  int differing = 0;
+  for (int rep = 0; rep < 50; ++rep) {
+    const Conv2dGrads g = conv2d_backward(input, weight, grad_out, 1, 1, true);
+    bool same = true;
+    for (std::int64_t i = 0; i < g.grad_weight.numel(); ++i)
+      same = same && g.grad_weight[i] == ref.grad_weight[i];
+    for (std::int64_t i = 0; i < g.grad_bias.numel(); ++i)
+      same = same && g.grad_bias[i] == ref.grad_bias[i];
+    differing += same ? 0 : 1;
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#endif
+  EXPECT_EQ(differing, 0);
 }
 
 TEST(ConvBackward, GradOutputShapeChecked) {

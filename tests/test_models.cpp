@@ -6,10 +6,6 @@
 #include <fstream>
 #include <string>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/rng.hpp"
 #include "data/synth.hpp"
 #include "models/analysis.hpp"
@@ -207,14 +203,6 @@ TEST(ModelCache, DamagedCacheFileIsRetrainedAndReplaced) {
   nn::TrainConfig tcfg;
   tcfg.epochs = 1;
   tcfg.verbose = false;
-#ifdef _OPENMP
-  // Two trainings are compared bit for bit; the conv weight-gradient
-  // reduction sums per-thread partials in arrival order, which is only
-  // order-independent up to two threads.
-  const int threads = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-
   const TrainedModel first = get_trained_shallow_caps(split, "heal", tcfg);
   EXPECT_FALSE(first.from_cache);
   const std::string path = dir + "/shallowcaps_heal_s11.bin";
@@ -237,9 +225,6 @@ TEST(ModelCache, DamagedCacheFileIsRetrainedAndReplaced) {
       ASSERT_EQ((*pf[i])[j], (*ph[i])[j]) << "param tensor " << i;
   EXPECT_TRUE(get_trained_shallow_caps(split, "heal", tcfg).from_cache);
 
-#ifdef _OPENMP
-  omp_set_num_threads(threads);
-#endif
   std::filesystem::remove_all(dir);
   if (prev != nullptr) {
     setenv("QCAPS_MODEL_CACHE", prev, 1);

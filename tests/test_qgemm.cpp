@@ -17,6 +17,7 @@
 #include <omp.h>
 #endif
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fixed/format.hpp"
 #include "hwmodel/units.hpp"
@@ -431,6 +432,87 @@ TEST_P(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
                   want[static_cast<std::size_t>(i * n + j)])
             << "i=" << i << " j=" << j;
   }
+}
+
+// The epilogue writes any integer container and records what it wrote:
+// int8/int16/int32/int64 destinations in conv-style unit-stride runs, for
+// the unit multiplier (the vector path on the AVX-512 tiers) and a general
+// one with zero points (the scalar path). Values match the naive oracle;
+// max |value| and the rail hits match a scan of it, accumulated across the
+// items of a batch.
+template <typename DstT>
+void check_narrow_scatter(const QGemmRequant& rq, std::int64_t m,
+                          std::int64_t n, std::int64_t k, std::int64_t run,
+                          common::Rng& rng) {
+  const std::int64_t batch = 3;
+  const std::int64_t item = (n + run - 1) / run * m * run;  // per-item extent
+  const auto a = random_i8(rng, batch * m * k);
+  const auto b = random_i8(rng, batch * k * n);
+  std::vector<DstT> dst(static_cast<std::size_t>(batch * item), DstT{99});
+  QGemmOutStats st;
+  st.rail_lo = rq.qmin;
+  st.rail_hi = rq.qmax - 3;
+  QGemmScatterTo<DstT> sd;
+  sd.dst = dst.data();
+  sd.row_inner = m;  // row i lands at i * run; runs of `run` columns
+  sd.row_inner_stride = run;
+  sd.col_inner = run;
+  sd.col_outer_stride = m * run;
+  sd.col_inner_stride = 1;
+  sd.batch_stride = item;
+  sd.stats = &st;
+  qgemm_batch_scatter(Trans::kN, Trans::kN, m, n, k, a.data(), k, m * k,
+                      b.data(), n, k * n, batch, rq, sd);
+  std::int64_t max_abs = 0;
+  std::uint64_t at_rail = 0;
+  for (std::int64_t t = 0; t < batch; ++t) {
+    const auto want = qgemm_naive(Trans::kN, Trans::kN, m, n, k,
+                                  a.data() + t * m * k, k,
+                                  b.data() + t * k * n, n, rq);
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t j = 0; j < n; ++j) {
+        const std::int64_t w = want[static_cast<std::size_t>(i * n + j)];
+        ASSERT_EQ(dst[static_cast<std::size_t>(t * item + (j / run) * m * run +
+                                               i * run + j % run)],
+                  w)
+            << "item " << t << " i=" << i << " j=" << j;
+        max_abs = std::max(max_abs, w < 0 ? -w : w);
+        at_rail += (w <= st.rail_lo || w >= st.rail_hi) ? 1 : 0;
+      }
+  }
+  EXPECT_EQ(st.max_abs, max_abs);
+  EXPECT_EQ(st.at_rail, at_rail);
+  EXPECT_GT(at_rail, 0u);
+}
+
+TEST_P(QGemmAllKernels, ScatterWritesNarrowContainersAndRecordsRange) {
+  common::Rng rng(33);
+  QGemmRequant unit;
+  unit.shift = 6;
+  unit.qmin = -100;
+  unit.qmax = 90;
+  std::vector<std::int32_t> bias = {-700, 0, 350, 1 << 20, -(1 << 20), 5, 9};
+  unit.bias = bias.data();
+  QGemmRequant general = unit;
+  general.multiplier = (std::int32_t{1} << 29) + 777;
+  general.a_zero = 2;
+  for (const QGemmRequant& rq : {unit, general}) {
+    check_narrow_scatter<std::int8_t>(rq, 7, 37, 19, 13, rng);
+    check_narrow_scatter<std::int16_t>(rq, 7, 40, 19, 20, rng);
+    check_narrow_scatter<std::int32_t>(rq, 7, 33, 19, 3, rng);
+    check_narrow_scatter<std::int64_t>(rq, 7, 35, 19, 35, rng);
+  }
+  // Rails that do not fit the destination are refused.
+  std::vector<std::int8_t> a(4, 1), b(4, 1), d(4);
+  QGemmRequant wide;
+  wide.qmin = -1000;
+  wide.qmax = 1000;
+  QGemmScatterTo<std::int8_t> sd;
+  sd.dst = d.data();
+  sd.col_outer_stride = 2;
+  EXPECT_THROW(qgemm_scatter(Trans::kN, Trans::kN, 2, 2, 2, a.data(), 2,
+                             b.data(), 2, wide, sd),
+               qcaps::Error);
 }
 
 TEST_P(QGemmAllKernels, BatchScatterLandsVotesJMajor) {

@@ -827,5 +827,82 @@ TEST(QGraphSaturation, NarrowFormatsCountRailHitsAndCopiesShareCounters) {
   EXPECT_DOUBLE_EQ(replica.saturation_rate(), g.saturation_rate());
 }
 
+// Per-node counts for fixed inputs, recorded from the int64 executor that
+// rescanned every value after writing it. The executor now takes the
+// counts from each producer's output pass; they must not move. Covered:
+// the fused-relu conv's high-rail-only count (node 0 fused vs unfused),
+// the fused-away rescale counted once (by its producer, on the rescaled
+// value), and replica copies adding into one counter block.
+TEST(QGraphSaturation, PerNodeCountsMatchTheRescanningExecutor) {
+  using Counts = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  const auto expect_counts = [](const QuantizedGraph& g,
+                                const tensor::Tensor& images,
+                                const Counts& want, const char* what) {
+    g.forward(images);
+    const QuantizedGraph replica = g;  // NOLINT(performance-unnecessary-copy)
+    replica.forward(images);
+    const auto sat = g.saturation();
+    ASSERT_EQ(sat.size(), want.size()) << what;
+    for (std::size_t i = 0; i < sat.size(); ++i) {
+      EXPECT_EQ(sat[i].saturated, 2 * want[i].first) << what << " node " << i;
+      EXPECT_EQ(sat[i].total, 2 * want[i].second) << what << " node " << i;
+    }
+  };
+  const auto rtn = fixed::RoundingScheme::kRoundToNearest;
+  {
+    common::Rng rng(81);
+    auto net = models::build_shallow_caps(
+        models::ShallowCapsConfig::experiment(), rng);
+    const tensor::Tensor images =
+        tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
+    const QuantizedGraph compiled = QuantizedGraph::compile(
+        *net, core::NetworkQuantSpec::uniform(3, 3, rtn));
+    QuantizedGraph fused =
+        QuantizedGraph::from_ops(compiled.ops(), compiled.input_format());
+    fused.fuse();
+    expect_counts(fused, images,
+                  {{4734, 25600}, {0, 0}, {0, 2304}, {2, 46080}, {0, 320}},
+                  "shallow fused");
+    expect_counts(
+        QuantizedGraph::from_ops(compiled.ops(), compiled.input_format()),
+        images, {{7763, 25600}, {0, 0}, {0, 2304}, {2, 46080}, {0, 320}},
+        "shallow unfused");
+    QuantizedGraph folded = QuantizedGraph::from_ops(
+        with_rescale_after(compiled.ops(), 0, fixed::FixedFormat{3, 5}),
+        compiled.input_format());
+    folded.fuse();
+    ASSERT_TRUE(folded.ops()[0].fused_rescale && folded.ops()[1].fused_away);
+    expect_counts(folded, images,
+                  {{7785, 25600},
+                   {0, 0},
+                   {0, 0},
+                   {0, 2304},
+                   {3, 46080},
+                   {0, 320}},
+                  "shallow folded rescale");
+  }
+  {
+    common::Rng rng(82);
+    auto net = models::build_deep_caps(
+        models::DeepCapsConfig::experiment(28, 1), rng);
+    const tensor::Tensor images =
+        tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
+    const QuantizedGraph compiled = QuantizedGraph::compile(
+        *net, core::NetworkQuantSpec::uniform(6, 1, rtn));
+    QuantizedGraph fused =
+        QuantizedGraph::from_ops(compiled.ops(), compiled.input_format());
+    fused.fuse();
+    Counts want = {{10986, 50176}, {0, 0}};
+    for (int i = 0; i < 5; ++i) want.push_back({0, 12544});
+    for (int i = 0; i < 5; ++i) want.push_back({0, 3136});
+    for (int i = 0; i < 5; ++i) want.push_back({0, 2048});
+    for (int i = 0; i < 5; ++i) want.push_back({0, 512});
+    want.push_back({0, 0});
+    want.push_back({0, 10240});
+    want.push_back({0, 320});
+    expect_counts(fused, images, want, "deep fused");
+  }
+}
+
 }  // namespace
 }  // namespace qcaps::qengine
