@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "hwmodel/units.hpp"
+#include "qengine/schedule.hpp"
+#include "tensor/caps_kernels.hpp"
 #include "tensor/qgemm.hpp"
 
 namespace qcaps::qengine {
@@ -155,27 +159,33 @@ void run_qgemm_votes(const QTensorT<TI>& u, const QTensor& w,
                               jd * din, nin, rq, sd);
 }
 
-// im2col of images [b0, b0 + bc) of x [B, C, H, W] into the column panel
-// [C*K*K, bc*OH*OW]. Each kernel tap (ci, ky, kx) has one range of output
-// columns [x0, x1) whose input pixels lie inside the image; per output row
-// that range is one contiguous (stride 1) or strided converting copy and
-// the padding around it is written as zeros — no per-element bounds test
-// and no separate zero-fill of the panel. Parallel over (image, channel),
-// so even a one-image chunk splits across the team.
+// Geometry of one conv: input [b, c, h, w], square kernel k, output oh x ow.
+struct ConvGeom {
+  std::int64_t b, c, h, w, k, stride, pad, oh, ow;
+};
+
+// im2col of the flattened output rows [r0, r1) (r = image * oh + y) of x
+// [B, C, H, W] into the column panel [C*K*K, (r1 - r0)*OW]. Each kernel tap
+// (ci, ky, kx) has one range of output columns [x0, x1) whose input pixels
+// lie inside the image; per output row that range is one contiguous
+// (stride 1) or strided converting copy and the padding around it is
+// written as zeros — no per-element bounds test and no separate zero-fill
+// of the panel. Serial: the node schedule runs it on each thread's rows.
 template <typename TI, typename T>
-void im2col_runs(const TI* x, std::int64_t b0, std::int64_t bc, std::int64_t c,
-                 std::int64_t h, std::int64_t wd, std::int64_t k,
-                 std::int64_t stride, std::int64_t pad, std::int64_t oh,
-                 std::int64_t ow, T* cols) {
-  const std::int64_t plane = oh * ow;
-  const std::int64_t n_chunk = bc * plane;
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t bi = 0; bi < bc; ++bi) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
-      const TI* xplane = x + ((b0 + bi) * c + ci) * h * wd;
+void im2col_rows(const TI* x, std::int64_t r0, std::int64_t r1,
+                 const ConvGeom& g, T* cols) {
+  const std::int64_t n_chunk = (r1 - r0) * g.ow;
+  const std::int64_t k = g.k, ow = g.ow, wd = g.w, stride = g.stride,
+                     pad = g.pad;
+  for_each_image_rows(r0, r1, g.oh, [&](std::int64_t bi, std::int64_t ya,
+                                        std::int64_t yb) {
+    // Output row y of this image is chunk column (y - ya) * ow + off.
+    const std::int64_t off = (bi * g.oh + ya - r0) * ow;
+    for (std::int64_t ci = 0; ci < g.c; ++ci) {
+      const TI* xplane = x + (bi * g.c + ci) * g.h * wd;
       for (std::int64_t ky = 0; ky < k; ++ky) {
         for (std::int64_t kx = 0; kx < k; ++kx) {
-          T* crow = cols + ((ci * k + ky) * k + kx) * n_chunk + bi * plane;
+          T* crow = cols + ((ci * k + ky) * k + kx) * n_chunk + off;
           // Valid columns: 0 <= xx*stride + kx - pad <= wd - 1.
           const std::int64_t x0 =
               kx >= pad ? 0
@@ -188,29 +198,29 @@ void im2col_runs(const TI* x, std::int64_t b0, std::int64_t bc, std::int64_t c,
             // tap are ONE contiguous shifted copy of the plane. Copy it in
             // one run, then zero the clipped border columns (which the run
             // filled with neighbouring rows' pixels) and the clipped rows.
-            const std::int64_t y0 = std::clamp<std::int64_t>(pad - ky, 0, oh);
+            const std::int64_t y0 = std::clamp<std::int64_t>(pad - ky, ya, yb);
             const std::int64_t y1 =
-                std::clamp<std::int64_t>(h + pad - ky, y0, oh);
-            std::fill(crow, crow + y0 * ow, T{0});
+                std::clamp<std::int64_t>(g.h + pad - ky, y0, yb);
+            std::fill(crow, crow + (y0 - ya) * ow, T{0});
             if (y1 > y0) {
-              const std::int64_t d0 = y0 * ow + x0;
-              const std::int64_t d1 = (y1 - 1) * ow + x1;
+              const std::int64_t d0 = (y0 - ya) * ow + x0;
+              const std::int64_t d1 = (y1 - 1 - ya) * ow + x1;
               const TI* src = xplane + (y0 + ky - pad) * wd + x0 + kx - pad;
               T* dst = crow + d0;
               for (std::int64_t e = 0; e < d1 - d0; ++e)
                 dst[e] = static_cast<T>(src[e]);
-              for (std::int64_t y = y0; y < y1; ++y) {
+              for (std::int64_t y = y0 - ya; y < y1 - ya; ++y) {
                 std::fill(crow + y * ow, crow + y * ow + x0, T{0});
                 std::fill(crow + y * ow + x1, crow + (y + 1) * ow, T{0});
               }
             }
-            std::fill(crow + y1 * ow, crow + oh * ow, T{0});
+            std::fill(crow + (y1 - ya) * ow, crow + (yb - ya) * ow, T{0});
             continue;
           }
-          for (std::int64_t y = 0; y < oh; ++y) {
-            T* dst = crow + y * ow;
+          for (std::int64_t y = ya; y < yb; ++y) {
+            T* dst = crow + (y - ya) * ow;
             const std::int64_t iy = y * stride + ky - pad;
-            if (iy < 0 || iy >= h) {
+            if (iy < 0 || iy >= g.h) {
               std::fill(dst, dst + ow, T{0});
               continue;
             }
@@ -228,97 +238,373 @@ void im2col_runs(const TI* x, std::int64_t b0, std::int64_t bc, std::int64_t c,
         }
       }
     }
-  }
+  });
 }
 
-// Images per GEMM: chunk the batch so the im2col columns, the int32
-// accumulators and the written outputs of one chunk stay L2-resident
-// (~1 MB); the packed weight panels stay hot across every chunk. Chunking
-// cannot change results: each output element's exact int32 accumulation is
-// unaffected by which chunk computes it.
-std::int64_t conv_chunk(std::int64_t bytes_per_col, std::int64_t plane,
-                        std::int64_t b) {
+// Output rows per GEMM chunk of one thread: the team's chunks together keep
+// the im2col columns, the int32 accumulators and the written outputs
+// L2-resident (~1 MB); the packed weight panels stay hot across every
+// chunk. Whole images whenever one fits (and no more than a thread's share
+// of the batch), so a one-thread team chunks the batch exactly as a
+// whole-image loop would. Chunking cannot change results: each output
+// element's exact int32 accumulation is unaffected by which chunk
+// computes it.
+std::int64_t chunk_rows(std::int64_t bytes_per_col, const ConvGeom& g,
+                        int threads) {
   constexpr std::int64_t kConvWorkingSetBytes = std::int64_t{1} << 20;
-  return std::clamp<std::int64_t>(
-      kConvWorkingSetBytes / std::max<std::int64_t>(bytes_per_col * plane, 1),
-      1, b);
+  const std::int64_t rows = std::max<std::int64_t>(
+      kConvWorkingSetBytes / threads /
+          std::max<std::int64_t>(bytes_per_col * g.ow, 1),
+      1);
+  if (rows < g.oh) return rows;
+  const std::int64_t share = (g.b * g.oh + threads - 1) / threads;
+  return std::min(rows - rows % g.oh, (share + g.oh - 1) / g.oh * g.oh);
 }
 
-// Batched im2col + packed integer GEMM convolution. The whole [B, ...]
-// batch becomes ONE qgemm call per chunk: A = weights [F, C*K*K] (from the
-// packed cache when supplied), B = the images' im2col columns concatenated
-// to [C*K*K, bc*OH*OW], bias folded into the fused requantization, and the
-// epilogue writes the TO container directly. Padding contributes stored
-// zeros, which are exact zeros on the symmetric grid.
-template <typename T, typename TI, typename TO>
-void conv2d_qgemm(const QTensorT<TI>& x, const QTensor& w,
-                  const QTensor& bias, std::int64_t stride, std::int64_t pad,
-                  fixed::FixedFormat out_fmt, int acc_qf,
-                  const QGemmOperandCache* w_cache, bool fuse_relu,
-                  const RescaleFold* fold, std::int64_t b, std::int64_t c,
-                  std::int64_t h, std::int64_t wd, std::int64_t f,
-                  std::int64_t k, std::int64_t oh, std::int64_t ow,
-                  QTensorT<TO>& out, tensor::QGemmOutStats& st) {
-  const std::int64_t kk = c * k * k;
-  const std::int64_t plane = oh * ow;
-  std::vector<T> w_local;
-  const T* wp = weight_panel<T>(w, w_cache, w_local);
+// The node schedule of a conv-shaped op (qengine/schedule.hpp): each thread
+// walks its range of output rows chunk by chunk, im2cols every chunk into
+// its own slice of one node-wide scratch arena and hands it to
+// gemm(t, r0, r1, cols, tail), where `tail` is a further
+// tail_bytes_per_col per column of the largest chunk. A chunk that starts
+// inside an image ends with that image, so every chunk is either one
+// image's run of rows or starts at an image boundary — the two shapes the
+// affine scatter epilogue can address.
+template <typename T, typename TI, typename Gemm>
+void conv_schedule(int threads, const TI* x, const ConvGeom& g,
+                   std::int64_t bytes_per_col, std::int64_t tail_bytes_per_col,
+                   Gemm&& gemm) {
+  const std::int64_t rows = chunk_rows(bytes_per_col, g, threads);
+  const std::int64_t kk = g.c * g.k * g.k;
+  const auto round64 = [](std::int64_t v) { return (v + 63) / 64 * 64; };
+  const std::int64_t col_bytes =
+      round64(rows * g.ow * kk * static_cast<std::int64_t>(sizeof(T)));
+  const std::int64_t slice =
+      col_bytes + round64(rows * g.ow * tail_bytes_per_col);
+  // One allocation per node, not zero-filled, freed on return, so the
+  // executor's values can reuse the block. A grow-only arena kept per
+  // calling thread across calls raised the Q-CapsNets search's peak RSS
+  // from 59.1 to 63.5 MiB for the same work.
+  const std::unique_ptr<std::byte[]> arena(
+      new std::byte[static_cast<std::size_t>(threads * slice)]);
+  for_each_row_range(threads, g.b, g.oh, [&](int t, std::int64_t r0,
+                                             std::int64_t r1) {
+    std::byte* mine = arena.get() + t * slice;
+    T* cols = reinterpret_cast<T*>(mine);
+    for (std::int64_t r = r0; r < r1;) {
+      std::int64_t e = std::min(r + rows, r1);
+      if (r % g.oh != 0) e = std::min(e, (r / g.oh + 1) * g.oh);
+      im2col_rows(x, r, e, g, cols);
+      gemm(t, r, e, cols, mine + col_bytes);
+      r = e;
+    }
+  });
+}
 
-  std::vector<std::int32_t> bias32;
-  if (!bias.raw.empty()) {
-    const int bshift = acc_qf - bias.fmt.qf;
-    bias32.resize(static_cast<std::size_t>(f));
-    for (std::int64_t i = 0; i < f; ++i)
-      bias32[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-          bias.raw[static_cast<std::size_t>(i)] << bshift);
+// Folds per-thread copies of a fresh record `st` (its rails, nothing
+// recorded yet) back into it in thread order; max and sum are order-free.
+void merge_stats(const std::vector<tensor::QGemmOutStats>& part,
+                 tensor::QGemmOutStats& st) {
+  for (const tensor::QGemmOutStats& p : part) {
+    st.max_abs = std::max(st.max_abs, p.max_abs);
+    st.at_rail += p.at_rail;
   }
+}
 
-  tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
-  // Fused ReLU: clamp-lo at the (zero) output zero point inside the requant.
-  if (fuse_relu) rq.qmin = std::max(rq.qmin, std::int32_t{0});
-  if (fold != nullptr) {
-    // Folded trailing rescale: one requant with the composed shift, rails,
-    // and the inner rounding constant carried in the accumulator-scale bias
-    // (the caller verified the composition and the widened bias range).
-    rq.shift = fold->shift;
-    rq.qmin = static_cast<std::int32_t>(fold->lo);
-    rq.qmax = static_cast<std::int32_t>(fold->hi);
-    if (fold->bias_add != 0) {
-      if (bias32.empty())
-        bias32.assign(static_cast<std::size_t>(f),
-                      static_cast<std::int32_t>(fold->bias_add));
-      else
-        for (auto& bv : bias32)
-          bv += static_cast<std::int32_t>(fold->bias_add);
+// One (image, capsule type) slab of a channel-grouped squash: capsule p's D
+// elements sit `src_stride` (`dst_stride` in the output) apart, so the
+// squared norms accumulate vertically across the D channel rows, pixel
+// block by pixel block, and the gain rescales each element in a second
+// pass. Bit-identical to SquashUnit::apply per capsule: integer addition is
+// order-free and the per-term shift, the gain and the final rescale are
+// element-local. run_avx512 is the same body compiled for AVX-512, where
+// the 64-bit multiplies and the clamp vectorize.
+template <typename TI, typename TO>
+struct SquashSlab {
+  hwmodel::SquashUnit unit;
+  std::int64_t caps_dim;
+  int shift_up, shift;
+  std::int64_t half, lo, hi;  ///< output rounding constant and clamp rails
+  fixed::FixedFormat result_fmt;  ///< whose rails are counted
+  bool avx512;
+
+  [[gnu::always_inline]] inline void body(const TI* src,
+                                          std::int64_t src_stride, TO* dst,
+                                          std::int64_t dst_stride,
+                                          std::int64_t npix,
+                                          std::int64_t& max_abs_out,
+                                          std::uint64_t& at_rail_out) const {
+    constexpr std::int64_t kBlock = 512;
+    std::int64_t nsq[kBlock];
+    std::int64_t gain[kBlock];
+    std::int64_t max_abs = 0;
+    std::uint64_t at_rail = 0;
+    const std::int64_t rail_lo = result_fmt.raw_min();
+    const std::int64_t rail_hi = result_fmt.raw_max();
+    for (std::int64_t p0 = 0; p0 < npix; p0 += kBlock) {
+      const std::int64_t pc = std::min(kBlock, npix - p0);
+      std::fill(nsq, nsq + pc, std::int64_t{0});
+      for (std::int64_t j = 0; j < caps_dim; ++j) {
+        const TI* row = src + j * src_stride + p0;
+        if (shift_up >= 0)
+          for (std::int64_t p = 0; p < pc; ++p)
+            nsq[p] += (static_cast<std::int64_t>(row[p]) * row[p]) << shift_up;
+        else
+          for (std::int64_t p = 0; p < pc; ++p)
+            nsq[p] +=
+                (static_cast<std::int64_t>(row[p]) * row[p]) >> -shift_up;
+      }
+      unit.gain_raw_n(nsq, gain, pc);
+      for (std::int64_t j = 0; j < caps_dim; ++j) {
+        const TI* row = src + j * src_stride + p0;
+        TO* orow = dst + j * dst_stride + p0;
+        for (std::int64_t p = 0; p < pc; ++p) {
+          const std::int64_t v =
+              std::clamp((row[p] * gain[p] + half) >> shift, lo, hi);
+          orow[p] = static_cast<TO>(v);
+          max_abs = std::max(max_abs, v < 0 ? -v : v);
+          at_rail += (v <= rail_lo || v >= rail_hi) ? 1 : 0;
+        }
+      }
+    }
+    max_abs_out = std::max(max_abs_out, max_abs);
+    at_rail_out += at_rail;
+  }
+#ifdef QCAPS_X86_NATIVE
+  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) void
+  run_avx512(const TI* src, std::int64_t src_stride, TO* dst,
+             std::int64_t dst_stride, std::int64_t npix, std::int64_t& max_abs,
+             std::uint64_t& at_rail) const {
+    body(src, src_stride, dst, dst_stride, npix, max_abs, at_rail);
+  }
+#endif
+  // Squash every capsule type of `npix` pixels.
+  void run(const TI* src, std::int64_t src_stride, TO* dst,
+           std::int64_t dst_stride, std::int64_t npix, std::int64_t types,
+           std::int64_t& max_abs, std::uint64_t& at_rail) const {
+    for (std::int64_t t = 0; t < types; ++t) {
+      const TI* s = src + t * caps_dim * src_stride;
+      TO* d = dst + t * caps_dim * dst_stride;
+#ifdef QCAPS_X86_NATIVE
+      if (avx512) {
+        run_avx512(s, src_stride, d, dst_stride, npix, max_abs, at_rail);
+        continue;
+      }
+#endif
+      body(s, src_stride, d, dst_stride, npix, max_abs, at_rail);
     }
   }
-  if (!bias32.empty()) rq.bias = bias32.data();
+};
 
-  const std::int64_t chunk_b = conv_chunk(
-      kk * static_cast<std::int64_t>(sizeof(T)) +
-          f * static_cast<std::int64_t>(sizeof(std::int32_t) + sizeof(TO)),
-      plane, b);
-  std::vector<T> cols;
-  for (std::int64_t b0 = 0; b0 < b; b0 += chunk_b) {
-    const std::int64_t bc = std::min<std::int64_t>(chunk_b, b - b0);
-    const std::int64_t n_chunk = bc * plane;
-    cols.resize(static_cast<std::size_t>(kk * n_chunk));
-    im2col_runs(x.raw.data(), b0, bc, c, h, wd, k, stride, pad, oh, ow,
-                cols.data());
-    // The requant epilogue scatters [F, bc*plane] -> [b0.., F, plane]
-    // straight into the output container — no dense int32 C, no second
-    // pass; each row of a plane is one unit-stride run.
-    tensor::QGemmScatterTo<TO> sd;
-    sd.dst = out.raw.data() + b0 * f * plane;
-    sd.row_inner = f;
-    sd.row_inner_stride = plane;
-    sd.col_inner = plane;
-    sd.col_outer_stride = f * plane;
-    sd.col_inner_stride = 1;
-    sd.stats = &st;
-    tensor::qgemm_scatter(tensor::Trans::kN, tensor::Trans::kN, f, n_chunk,
-                          kk, wp, kk, cols.data(), n_chunk, rq, sd);
+// The squash of `s_fmt` values into out_fmt, with an exact trailing rescale
+// out_fmt -> *fold_fmt composed in when given.
+template <typename TI, typename TO>
+SquashSlab<TI, TO> make_squash_slab(fixed::FixedFormat s_fmt,
+                                    std::int64_t caps_dim,
+                                    fixed::FixedFormat out_fmt,
+                                    const fixed::FixedFormat* fold_fmt) {
+  const hwmodel::SquashUnit unit(s_fmt);
+  const int shift_up = unit.internal_qf() - 2 * s_fmt.qf;
+  const int prod_qf = s_fmt.qf + unit.internal_qf();
+  // The output rescale always shifts DOWN (internal_qf >= out qf), so the
+  // round-to-nearest + saturate is inlined — per-element calls into
+  // hwmodel::rescale_raw would dominate the second pass.
+  int shift = prod_qf - out_fmt.qf;
+  QCAPS_CHECK(shift > 0);
+  std::int64_t half = std::int64_t{1} << (shift - 1);
+  std::int64_t lo = out_fmt.raw_min(), hi = out_fmt.raw_max();
+  fixed::FixedFormat result_fmt = out_fmt;
+  if (fold_fmt != nullptr) {
+    // Compose the trailing rescale into this pass: same bits as
+    // squash-then-rescale, one traversal (the fusion pass validated
+    // exactness before annotating).
+    const RescaleFold fold =
+        compose_rescale(shift, lo, hi, out_fmt, *fold_fmt);
+    QCAPS_CHECK_MSG(fold.ok, "squash: inexact rescale fold");
+    shift = fold.shift;
+    half = fold.add;
+    lo = fold.lo;
+    hi = fold.hi;
+    result_fmt = *fold_fmt;
   }
+#ifdef QCAPS_X86_NATIVE
+  const bool avx512 = tensor::caps_kernel() == tensor::Isa::kAvx512;
+#else
+  const bool avx512 = false;
+#endif
+  return {unit, caps_dim, shift_up, shift, half, lo, hi, result_fmt, avx512};
+}
+
+// The packed-GEMM form of a conv (see conv2d in the header), when the
+// operands' raw ranges and the requant admit it: `tier` 1 (int8) or 2
+// (int16) with the requant and its accumulator-scale bias; 0 otherwise.
+// With a folded trailing rescale the requant expresses the COMPOSED
+// shift/rails, so the expressibility gate runs against the final format.
+struct ConvGemm {
+  int tier = 0;
+  tensor::QGemmRequant rq;
+  std::vector<std::int32_t> bias32;
+
+  tensor::QGemmRequant requant() const {
+    tensor::QGemmRequant r = rq;
+    if (!bias32.empty()) r.bias = bias32.data();
+    return r;
+  }
+};
+
+ConvGemm plan_conv_gemm(const fixed::FixedFormat& x_fmt,
+                        std::int64_t x_max_abs, const QTensor& w,
+                        const QTensor& bias, const fixed::FixedFormat& out_fmt,
+                        fixed::RoundingScheme scheme,
+                        const QGemmOperandCache* w_cache, bool fuse_relu,
+                        const fixed::FixedFormat* fold_fmt) {
+  ConvGemm cg;
+  const int acc_qf = x_fmt.qf + w.fmt.qf;
+  RescaleFold fold;
+  if (fold_fmt != nullptr) {
+    const std::int64_t lo1 = fuse_relu
+                                 ? std::max<std::int64_t>(out_fmt.raw_min(), 0)
+                                 : out_fmt.raw_min();
+    fold = compose_rescale(acc_qf - out_fmt.qf, lo1, out_fmt.raw_max(),
+                           out_fmt, *fold_fmt);
+  }
+  if (!requant_expressible(acc_qf, fold_fmt ? *fold_fmt : out_fmt, scheme) ||
+      (fold_fmt != nullptr && !fold.ok))
+    return cg;
+  const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
+  const int tier = qgemm_tier(x_max_abs, wmax, w.dim(1) * w.dim(2) * w.dim(3));
+  if (tier == 0) return cg;
+  const std::int64_t f = w.dim(0);
+  if (!bias.raw.empty()) {
+    const int bshift = acc_qf - bias.fmt.qf;
+    if (bshift < 0 || bshift >= 31 ||
+        bias.max_abs_raw() > ((INT32_MAX - fold.bias_add) >> bshift))
+      return cg;
+    cg.bias32.resize(static_cast<std::size_t>(f));
+    for (std::int64_t i = 0; i < f; ++i)
+      cg.bias32[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
+          bias.raw[static_cast<std::size_t>(i)] << bshift);
+  }
+  cg.rq = make_requant(acc_qf, out_fmt);
+  // Fused ReLU: clamp-lo at the (zero) output zero point inside the requant.
+  if (fuse_relu) cg.rq.qmin = std::max(cg.rq.qmin, std::int32_t{0});
+  if (fold_fmt != nullptr) {
+    // Folded trailing rescale: one requant with the composed shift, rails,
+    // and the inner rounding constant carried in the accumulator-scale bias.
+    cg.rq.shift = fold.shift;
+    cg.rq.qmin = static_cast<std::int32_t>(fold.lo);
+    cg.rq.qmax = static_cast<std::int32_t>(fold.hi);
+    if (fold.bias_add != 0) {
+      if (cg.bias32.empty())
+        cg.bias32.assign(static_cast<std::size_t>(f),
+                         static_cast<std::int32_t>(fold.bias_add));
+      else
+        for (auto& bv : cg.bias32)
+          bv += static_cast<std::int32_t>(fold.bias_add);
+    }
+  }
+  cg.tier = tier;
+  return cg;
+}
+
+// Batched im2col + packed integer GEMM convolution on the node schedule. A =
+// weights [F, C*K*K] (from the packed cache when supplied), B = one chunk's
+// im2col columns [C*K*K, rows*OW], bias folded into the fused
+// requantization. Padding contributes stored zeros, which are exact zeros
+// on the symmetric grid. The requant epilogue scatters each chunk straight
+// into the TO output — or, with `squash`, into the thread's int32 scratch,
+// which the thread then squashes into the output right away (squash works
+// per pixel, so a chunk needs nothing from outside itself).
+template <typename T, typename TI, typename TO>
+void conv2d_qgemm(const TI* x, const ConvGeom& g, const QTensor& w,
+                  const QGemmOperandCache* w_cache, const ConvGemm& cg,
+                  const SquashSlab<std::int32_t, TO>* squash, TO* out,
+                  tensor::QGemmOutStats& st) {
+  const std::int64_t f = w.dim(0);
+  const std::int64_t kk = g.c * g.k * g.k;
+  const std::int64_t plane = g.oh * g.ow;
+  std::vector<T> w_local;
+  const T* wp = weight_panel<T>(w, w_cache, w_local);
+  const tensor::QGemmRequant rq = cg.requant();
+  const int threads = schedule_threads();
+  std::vector<tensor::QGemmOutStats> part(static_cast<std::size_t>(threads),
+                                          st);
+  // Fused squash: the pre-squash int32 chunk is scratch too.
+  const std::int64_t mid_bytes =
+      squash ? f * static_cast<std::int64_t>(sizeof(std::int32_t)) : 0;
+  conv_schedule<T>(
+      threads, x, g,
+      kk * static_cast<std::int64_t>(sizeof(T)) +
+          f * static_cast<std::int64_t>(sizeof(std::int32_t)) +
+          (squash ? mid_bytes
+                  : f * static_cast<std::int64_t>(sizeof(TO))),
+      mid_bytes,
+      [&](int t, std::int64_t r0, std::int64_t r1, const T* cols,
+          std::byte* tail) {
+        const std::int64_t n = (r1 - r0) * g.ow;
+        tensor::QGemmOutStats& ts = part[static_cast<std::size_t>(t)];
+        if (squash == nullptr) {
+          // [F, n] -> out[image, F, pixel]: each row of a plane is one
+          // unit-stride run.
+          tensor::QGemmScatterTo<TO> sd;
+          sd.dst = out + (r0 / g.oh) * f * plane + (r0 % g.oh) * g.ow;
+          sd.row_inner = f;
+          sd.row_inner_stride = plane;
+          sd.col_inner = plane;
+          sd.col_outer_stride = f * plane;
+          sd.col_inner_stride = 1;
+          sd.stats = &ts;
+          tensor::qgemm_scatter(tensor::Trans::kN, tensor::Trans::kN, f, n,
+                                kk, wp, kk, cols, n, rq, sd);
+          return;
+        }
+        // Pre-squash chunk as [image][F][seg]: seg is the plane when the
+        // chunk starts at an image boundary, else its own pixel count.
+        const std::int64_t seg = std::min(plane, n);
+        auto* mid = reinterpret_cast<std::int32_t*>(tail);
+        tensor::QGemmScatterTo<std::int32_t> sd;
+        sd.dst = mid;
+        sd.row_inner = f;
+        sd.row_inner_stride = seg;
+        sd.col_inner = seg;
+        sd.col_outer_stride = f * seg;
+        sd.col_inner_stride = 1;
+        tensor::qgemm_scatter(tensor::Trans::kN, tensor::Trans::kN, f, n, kk,
+                              wp, kk, cols, n, rq, sd);
+        for_each_image_rows(r0, r1, g.oh, [&](std::int64_t bi,
+                                              std::int64_t ya,
+                                              std::int64_t yb) {
+          squash->run(mid + (bi - r0 / g.oh) * f * seg, seg,
+                      out + bi * f * plane + ya * g.ow, plane,
+                      (yb - ya) * g.ow, f / squash->caps_dim, ts.max_abs,
+                      ts.at_rail);
+        });
+      });
+  merge_stats(part, st);
+}
+
+// Shape checks shared by the conv-shaped ops; the output geometry.
+ConvGeom conv_geom(const std::vector<std::int64_t>& xs, const QTensor& w,
+                   fixed::FixedFormat x_fmt, const QTensor& bias,
+                   const QGemmOperandCache* w_cache, std::int64_t stride,
+                   std::int64_t pad) {
+  QCAPS_CHECK_MSG(xs.size() == 4 && w.shape.size() == 4,
+                  "qengine conv2d expects [B,C,H,W] x [F,C,K,K]");
+  QCAPS_CHECK_MSG(!w_cache || w_cache->max_abs >= 0,
+                  "conv2d weight cache was not built");
+  ConvGeom g{xs[0], xs[1], xs[2], xs[3], w.dim(2), stride, pad, 0, 0};
+  QCAPS_CHECK(w.dim(1) == g.c && w.dim(3) == g.k);
+  g.oh = (g.h + 2 * pad - g.k) / stride + 1;
+  g.ow = (g.w + 2 * pad - g.k) / stride + 1;
+  QCAPS_CHECK(g.oh > 0 && g.ow > 0);
+  // Accumulator guard: fan-in * 2^(wl_x + wl_w) must fit in int64.
+  QCAPS_CHECK_MSG(x_fmt.wordlength() + w.fmt.wordlength() +
+                          static_cast<int>(std::ceil(std::log2(
+                              static_cast<double>(g.c * g.k * g.k + 1)))) <=
+                      62,
+                  "conv accumulator would overflow for these formats");
+  QCAPS_CHECK_MSG(bias.raw.empty() || bias.fmt.qf <= x_fmt.qf + w.fmt.qf,
+                  "conv2d bias fractional width exceeds the accumulator's");
+  return g;
 }
 
 }  // namespace
@@ -330,68 +616,33 @@ void conv2d_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
                fixed::RoundingScheme scheme, const QGemmOperandCache* w_cache,
                bool fuse_relu, const fixed::FixedFormat* fold_fmt,
                QTensorT<TO>& out, OpRun& run) {
-  QCAPS_CHECK_MSG(x.shape.size() == 4 && w.shape.size() == 4,
-                  "qengine conv2d expects [B,C,H,W] x [F,C,K,K]");
-  const std::int64_t b = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
-  const std::int64_t f = w.dim(0), k = w.dim(2);
-  QCAPS_CHECK(w.dim(1) == c && w.dim(3) == k);
-  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
-  const std::int64_t ow = (wd + 2 * pad - k) / stride + 1;
-  QCAPS_CHECK(oh > 0 && ow > 0);
-  // Accumulator guard: fan-in * 2^(wl_x + wl_w) must fit in int64.
-  QCAPS_CHECK_MSG(x.fmt.wordlength() + w.fmt.wordlength() +
-                          static_cast<int>(std::ceil(std::log2(
-                              static_cast<double>(c * k * k + 1)))) <=
-                      62,
-                  "conv accumulator would overflow for these formats");
+  const ConvGeom g = conv_geom(x.shape, w, x.fmt, bias, w_cache, stride, pad);
+  const std::int64_t b = g.b, c = g.c, h = g.h, wd = g.w, k = g.k;
+  const std::int64_t f = w.dim(0), oh = g.oh, ow = g.ow;
   const int acc_qf = x.fmt.qf + w.fmt.qf;
   const bool has_bias = !bias.raw.empty();
-  QCAPS_CHECK_MSG(!w_cache || w_cache->max_abs >= 0,
-                  "conv2d weight cache was not built");
-  QCAPS_CHECK_MSG(!has_bias || bias.fmt.qf <= acc_qf,
-                  "conv2d bias fractional width exceeds the accumulator's");
   const fixed::FixedFormat result_fmt = fold_fmt ? *fold_fmt : out_fmt;
   out = QTensorT<TO>({b, f, oh, ow}, result_fmt);
   run = OpRun{};
   if (b == 0) return;
 
-  // Packed-GEMM fast path (bit-identical; see header). With a folded
-  // trailing rescale the requant must express the COMPOSED shift/rails, so
-  // the expressibility gate runs against the final format; any reject
-  // (range, bias widening) falls back to the scalar path, which applies
-  // the two rounding steps inline — still one pass, still bit-identical.
-  RescaleFold fold;
-  if (fold_fmt != nullptr) {
-    const std::int64_t lo1 = fuse_relu
-                                 ? std::max<std::int64_t>(out_fmt.raw_min(), 0)
-                                 : out_fmt.raw_min();
-    fold = compose_rescale(acc_qf - out_fmt.qf, lo1, out_fmt.raw_max(),
-                           out_fmt, *fold_fmt);
-  }
-  const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
-  if (requant_expressible(acc_qf, result_fmt, scheme) &&
-      (fold_fmt == nullptr || fold.ok)) {
-    const int tier = qgemm_tier(x_max_abs, wmax, c * k * k);
-    bool bias_ok = true;
-    if (has_bias) {
-      const int bshift = acc_qf - bias.fmt.qf;
-      bias_ok = bshift >= 0 && bshift < 31 &&
-                bias.max_abs_raw() <= ((INT32_MAX - fold.bias_add) >> bshift);
-    }
-    if (tier != 0 && bias_ok) {
-      const RescaleFold* fp = fold_fmt ? &fold : nullptr;
-      tensor::QGemmOutStats st = rail_stats(result_fmt);
-      if (tier == 1)
-        conv2d_qgemm<std::int8_t>(x, w, bias, stride, pad, out_fmt, acc_qf,
-                                  w_cache, fuse_relu, fp, b, c, h, wd, f, k,
-                                  oh, ow, out, st);
-      else
-        conv2d_qgemm<std::int16_t>(x, w, bias, stride, pad, out_fmt, acc_qf,
-                                   w_cache, fuse_relu, fp, b, c, h, wd, f, k,
-                                   oh, ow, out, st);
-      take_stats(st, tier == 1 ? 8 : 16, run);
-      return;
-    }
+  // Packed-GEMM fast path (bit-identical; see header). Any reject (range,
+  // bias widening) falls back to the scalar path, which applies a folded
+  // rescale's two rounding steps inline — still one pass, still
+  // bit-identical.
+  const ConvGemm cg = plan_conv_gemm(x.fmt, x_max_abs, w, bias, out_fmt,
+                                     scheme, w_cache, fuse_relu, fold_fmt);
+  if (cg.tier != 0) {
+    tensor::QGemmOutStats st = rail_stats(result_fmt);
+    const SquashSlab<std::int32_t, TO>* no_squash = nullptr;
+    if (cg.tier == 1)
+      conv2d_qgemm<std::int8_t>(x.raw.data(), g, w, w_cache, cg, no_squash,
+                                out.raw.data(), st);
+    else
+      conv2d_qgemm<std::int16_t>(x.raw.data(), g, w, w_cache, cg, no_squash,
+                                 out.raw.data(), st);
+    take_stats(st, cg.tier == 1 ? 8 : 16, run);
+    return;
   }
 
   const std::int64_t lo = result_fmt.raw_min(), hi = result_fmt.raw_max();
@@ -452,6 +703,77 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
   return out;
 }
 
+template <typename TI, typename TO>
+void squash_channels_to(const QTensorT<TI>& s, std::int64_t caps_dim,
+                        fixed::FixedFormat out_fmt,
+                        const fixed::FixedFormat* fold_fmt, QTensorT<TO>& out,
+                        OpRun& run) {
+  QCAPS_CHECK_MSG(s.shape.size() == 4 && caps_dim > 0 &&
+                      s.dim(1) % caps_dim == 0,
+                  "squash_channels expects [B, T*D, H, W] with D = "
+                      << caps_dim);
+  const std::int64_t b = s.dim(0), c = s.dim(1), h = s.dim(2), w = s.dim(3);
+  // Squash in the channel-grouped layout directly: capsule (b, t, y, x)'s
+  // elements sit exactly `plane` apart, so one streaming pass per (image,
+  // type) run of rows needs no transposes. On the node schedule: each
+  // thread squashes its own rows.
+  const auto slab = make_squash_slab<TI, TO>(s.fmt, caps_dim, out_fmt, fold_fmt);
+  out = QTensorT<TO>(s.shape, slab.result_fmt);
+  const int threads = schedule_threads();
+  std::vector<OpRun> part(static_cast<std::size_t>(threads));
+  for_each_row_range(threads, b, h, [&](int t, std::int64_t r0,
+                                        std::int64_t r1) {
+    OpRun& p = part[static_cast<std::size_t>(t)];
+    for_each_image_rows(r0, r1, h, [&](std::int64_t bi, std::int64_t ya,
+                                       std::int64_t yb) {
+      const std::int64_t o = bi * c * h * w + ya * w;
+      slab.run(s.raw.data() + o, h * w, out.raw.data() + o, h * w,
+               (yb - ya) * w, c / caps_dim, p.max_abs, p.at_rail);
+    });
+  });
+  run = merge_runs(part);
+}
+
+template <typename TI, typename TO>
+void conv_caps_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
+                  const QTensor& w, const QTensor& bias, std::int64_t stride,
+                  std::int64_t pad, const QGemmOperandCache* w_cache,
+                  fixed::FixedFormat mid_fmt, std::int64_t caps_dim,
+                  fixed::FixedFormat out_fmt,
+                  const fixed::FixedFormat* fold_fmt, QTensorT<TO>& out,
+                  OpRun& run) {
+  constexpr auto kRtn = fixed::RoundingScheme::kRoundToNearest;
+  const ConvGeom g = conv_geom(x.shape, w, x.fmt, bias, w_cache, stride, pad);
+  QCAPS_CHECK_MSG(caps_dim > 0 && w.dim(0) % caps_dim == 0,
+                  "conv caps: " << w.dim(0) << " filters are not whole "
+                                << caps_dim << "-D capsule types");
+  const ConvGemm cg = plan_conv_gemm(x.fmt, x_max_abs, w, bias, mid_fmt, kRtn,
+                                     w_cache, false, nullptr);
+  if (cg.tier == 0 || g.b == 0) {
+    // Exact path: the scalar conv into a full pre-squash value, then the
+    // squash over it.
+    QTensor s;
+    OpRun srun;
+    conv2d_to(x, x_max_abs, w, bias, stride, pad, mid_fmt, kRtn, w_cache,
+              false, nullptr, s, srun);
+    squash_channels_to(s, caps_dim, out_fmt, fold_fmt, out, run);
+    run.qgemm_bits = srun.qgemm_bits;
+    return;
+  }
+  const auto slab =
+      make_squash_slab<std::int32_t, TO>(mid_fmt, caps_dim, out_fmt, fold_fmt);
+  out = QTensorT<TO>({g.b, w.dim(0), g.oh, g.ow}, slab.result_fmt);
+  run = OpRun{};
+  tensor::QGemmOutStats st;
+  if (cg.tier == 1)
+    conv2d_qgemm<std::int8_t>(x.raw.data(), g, w, w_cache, cg, &slab,
+                              out.raw.data(), st);
+  else
+    conv2d_qgemm<std::int16_t>(x.raw.data(), g, w, w_cache, cg, &slab,
+                               out.raw.data(), st);
+  take_stats(st, cg.tier == 1 ? 8 : 16, run);
+}
+
 template <typename T>
 void relu_to(QTensorT<T>& x, OpRun& run) {
   std::int64_t max_abs = 0;
@@ -501,32 +823,14 @@ void squash_last_to(const QTensorT<TI>& s, fixed::FixedFormat out_fmt,
   QCAPS_CHECK(!s.shape.empty());
   const std::int64_t d = s.dim(-1);
   const std::int64_t rows = s.numel() / d;
-  const hwmodel::SquashUnit unit(s.fmt);
   // Raw-seam bulk path: same arithmetic as unit.apply() per row without the
   // per-row FixedNum vector allocations.
-  const int shift_up = unit.internal_qf() - 2 * s.fmt.qf;
-  const int prod_qf = s.fmt.qf + unit.internal_qf();
-  // Inlined round-to-nearest + saturate (the shift is always down here).
-  int shift = prod_qf - out_fmt.qf;
-  QCAPS_CHECK(shift > 0);
-  std::int64_t half = std::int64_t{1} << (shift - 1);
-  std::int64_t lo = out_fmt.raw_min(), hi = out_fmt.raw_max();
-  fixed::FixedFormat result_fmt = out_fmt;
-  if (fold_fmt != nullptr) {
-    // Composed trailing rescale (see compose_rescale): same bits as
-    // squash-then-rescale in one traversal.
-    const RescaleFold fold =
-        compose_rescale(shift, lo, hi, out_fmt, *fold_fmt);
-    QCAPS_CHECK_MSG(fold.ok, "squash_last: inexact rescale fold");
-    shift = fold.shift;
-    half = fold.add;
-    lo = fold.lo;
-    hi = fold.hi;
-    result_fmt = *fold_fmt;
-  }
-  out = QTensorT<TO>(s.shape, result_fmt);
-  const std::int64_t rail_lo = result_fmt.raw_min();
-  const std::int64_t rail_hi = result_fmt.raw_max();
+  const auto sq = make_squash_slab<TI, TO>(s.fmt, d, out_fmt, fold_fmt);
+  const int shift_up = sq.shift_up, shift = sq.shift;
+  const std::int64_t half = sq.half, lo = sq.lo, hi = sq.hi;
+  out = QTensorT<TO>(s.shape, sq.result_fmt);
+  const std::int64_t rail_lo = sq.result_fmt.raw_min();
+  const std::int64_t rail_hi = sq.result_fmt.raw_max();
   std::int64_t max_abs = 0;
   std::uint64_t at_rail = 0;
   // Blocked rows: one norms pass, one batched gain (vector NR over lanes of
@@ -549,7 +853,7 @@ void squash_last_to(const QTensorT<TI>& s, fixed::FixedFormat out_fmt,
       }
       nsq[rr] = acc;
     }
-    unit.gain_raw_n(nsq, gain, rc);
+    sq.unit.gain_raw_n(nsq, gain, rc);
     for (std::int64_t rr = 0; rr < rc; ++rr) {
       const TI* src = s.raw.data() + (r0 + rr) * d;
       TO* dst = out.raw.data() + (r0 + rr) * d;
@@ -917,55 +1221,48 @@ QTensor vote_transform(const QTensor& u, const QTensor& w,
 
 namespace {
 
-// Grouped ConvCaps3d vote convolutions (see the header): one im2col over the
-// full channel set, then a batch of Tin scattered GEMMs — type t's B operand
-// is the contiguous row block [t*Din*K*K, (t+1)*Din*K*K) of the shared
+// Grouped ConvCaps3d vote convolutions (see the header) on the node
+// schedule: per chunk of a thread's output rows, one im2col over the full
+// channel set, then a batch of Tin scattered GEMMs — type t's B operand is
+// the contiguous row block [t*Din*K*K, (t+1)*Din*K*K) of the shared
 // columns, its A operand the t-th slice of the concatenated packed weights.
-// The same L2-resident batch chunking as conv2d_qgemm; chunking cannot
-// change results (exact int32 accumulation per output element).
 template <typename T, typename TI, typename TO>
-void conv_caps3d_votes_impl(const QTensorT<TI>& x, const T* wp,
-                            const tensor::QGemmRequant& rq, std::int64_t b,
-                            std::int64_t in_types, std::int64_t din,
-                            std::int64_t out_types, std::int64_t dout,
-                            std::int64_t h, std::int64_t wd, std::int64_t k,
-                            std::int64_t stride, std::int64_t pad,
-                            std::int64_t oh, std::int64_t ow, TO* votes,
+void conv_caps3d_votes_impl(const TI* x, const ConvGeom& g, const T* wp,
+                            const tensor::QGemmRequant& rq,
+                            std::int64_t in_types, std::int64_t out_types,
+                            std::int64_t dout, TO* votes,
                             tensor::QGemmOutStats& st) {
-  const std::int64_t c = in_types * din;  // full channel count
-  const std::int64_t kk = din * k * k;    // fan-in of ONE type's vote conv
+  const std::int64_t kk = g.c / in_types * g.k * g.k;  // ONE type's fan-in
   const std::int64_t jd = out_types * dout;
   const std::int64_t jd_all = out_types * in_types * dout;
-  const std::int64_t plane = oh * ow;
-  const std::int64_t chunk_b = conv_chunk(
-      c * k * k * static_cast<std::int64_t>(sizeof(T)) +
+  const int threads = schedule_threads();
+  std::vector<tensor::QGemmOutStats> part(static_cast<std::size_t>(threads),
+                                          st);
+  conv_schedule<T>(
+      threads, x, g,
+      g.c * g.k * g.k * static_cast<std::int64_t>(sizeof(T)) +
           in_types * jd *
               static_cast<std::int64_t>(sizeof(std::int32_t) + sizeof(TO)),
-      plane, b);
-
-  std::vector<T> cols;
-  for (std::int64_t b0 = 0; b0 < b; b0 += chunk_b) {
-    const std::int64_t bc = std::min<std::int64_t>(chunk_b, b - b0);
-    const std::int64_t n_chunk = bc * plane;
-    cols.resize(static_cast<std::size_t>(c * k * k * n_chunk));
-    im2col_runs(x.raw.data(), b0, bc, c, h, wd, k, stride, pad, oh, ow,
-                cols.data());
-
-    // Batch item t: votes[((b0+bi)*plane + p)*Tout*Tin*Dout
-    //                     + j*Tin*Dout + t*Dout + dd]
-    // for GEMM element (row j*Dout + dd, column bi*plane + p).
-    tensor::QGemmScatterTo<TO> sd;
-    sd.dst = votes + b0 * plane * jd_all;
-    sd.row_inner = dout;                  // row splits as (j, dd)
-    sd.row_outer_stride = in_types * dout;
-    sd.row_inner_stride = 1;
-    sd.col_outer_stride = jd_all;         // column index is linear (inner = 1)
-    sd.batch_stride = dout;               // per input type t
-    sd.stats = &st;
-    tensor::qgemm_batch_scatter(tensor::Trans::kN, tensor::Trans::kN, jd,
-                                n_chunk, kk, wp, kk, jd * kk, cols.data(),
-                                n_chunk, kk * n_chunk, in_types, rq, sd);
-  }
+      0,
+      [&](int t, std::int64_t r0, std::int64_t r1, const T* cols,
+          std::byte*) {
+        const std::int64_t n = (r1 - r0) * g.ow;
+        // Batch item t: votes[(r*OW + x)*Tout*Tin*Dout + j*Tin*Dout
+        //                     + t*Dout + dd]
+        // for GEMM element (row j*Dout + dd, column (r - r0)*OW + x).
+        tensor::QGemmScatterTo<TO> sd;
+        sd.dst = votes + r0 * g.ow * jd_all;
+        sd.row_inner = dout;  // row splits as (j, dd)
+        sd.row_outer_stride = in_types * dout;
+        sd.row_inner_stride = 1;
+        sd.col_outer_stride = jd_all;  // column index is linear (inner = 1)
+        sd.batch_stride = dout;        // per input type t
+        sd.stats = &part[static_cast<std::size_t>(t)];
+        tensor::qgemm_batch_scatter(tensor::Trans::kN, tensor::Trans::kN, jd,
+                                    n, kk, wp, kk, jd * kk, cols, n, kk * n,
+                                    in_types, rq, sd);
+      });
+  merge_stats(part, st);
 }
 
 }  // namespace
@@ -993,22 +1290,22 @@ bool conv_caps3d_votes_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
   if (tier == 2 && !grouped.has_i16()) return false;
 
   const std::int64_t b = x.dim(0), h = x.dim(2), wd = x.dim(3);
-  const std::int64_t oh = (h + 2 * pad - ksize) / stride + 1;
-  const std::int64_t ow = (wd + 2 * pad - ksize) / stride + 1;
-  QCAPS_CHECK_MSG(votes.numel() == b * oh * ow * out_types * in_types * out_dim,
-                  "conv_caps3d_votes: votes tensor has the wrong size");
+  const ConvGeom g{b,     x.dim(1), h,   wd, ksize, stride, pad,
+                   (h + 2 * pad - ksize) / stride + 1,
+                   (wd + 2 * pad - ksize) / stride + 1};
+  QCAPS_CHECK_MSG(
+      votes.numel() == b * g.oh * g.ow * out_types * in_types * out_dim,
+      "conv_caps3d_votes: votes tensor has the wrong size");
   run = OpRun{};
   if (votes.numel() == 0) return true;
   const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
   tensor::QGemmOutStats st = rail_stats(out_fmt);
   if (tier == 1)
-    conv_caps3d_votes_impl(x, grouped.i8_data(), rq, b, in_types, in_dim,
-                           out_types, out_dim, h, wd, ksize, stride, pad, oh,
-                           ow, votes.raw.data(), st);
+    conv_caps3d_votes_impl(x.raw.data(), g, grouped.i8_data(), rq, in_types,
+                           out_types, out_dim, votes.raw.data(), st);
   else
-    conv_caps3d_votes_impl(x, grouped.i16_data(), rq, b, in_types, in_dim,
-                           out_types, out_dim, h, wd, ksize, stride, pad, oh,
-                           ow, votes.raw.data(), st);
+    conv_caps3d_votes_impl(x.raw.data(), g, grouped.i16_data(), rq, in_types,
+                           out_types, out_dim, votes.raw.data(), st);
   take_stats(st, tier == 1 ? 8 : 16, run);
   return true;
 }
@@ -1057,6 +1354,14 @@ tensor::Tensor lengths(const QTensor& caps) {
       std::int64_t, std::int64_t, fixed::FixedFormat, fixed::RoundingScheme, \
       const QGemmOperandCache*, bool, const fixed::FixedFormat*,             \
       QTensorT<TO>&, OpRun&);                                                 \
+  template void squash_channels_to<TI, TO>(                                   \
+      const QTensorT<TI>&, std::int64_t, fixed::FixedFormat,                 \
+      const fixed::FixedFormat*, QTensorT<TO>&, OpRun&);                      \
+  template void conv_caps_to<TI, TO>(                                         \
+      const QTensorT<TI>&, std::int64_t, const QTensor&, const QTensor&,     \
+      std::int64_t, std::int64_t, const QGemmOperandCache*,                   \
+      fixed::FixedFormat, std::int64_t, fixed::FixedFormat,                   \
+      const fixed::FixedFormat*, QTensorT<TO>&, OpRun&);                      \
   template void rescale_to<TI, TO>(const QTensorT<TI>&, fixed::FixedFormat,  \
                                    fixed::RoundingScheme, QTensorT<TO>&,     \
                                    OpRun&);                                   \

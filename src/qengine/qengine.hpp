@@ -7,7 +7,9 @@
 // datapaths from src/hwmodel (Newton-Raphson inverse sqrt, exp LUT).
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "qengine/qtensor.hpp"
 
@@ -76,9 +78,10 @@ RescaleFold compose_rescale(int shift1, std::int64_t lo1, std::int64_t hi1,
 ///
 /// Fast path: when the operands' raw ranges admit exact int32 accumulation
 /// and the rescale is a qgemm requant (round-to-nearest, narrow output),
-/// the convolution runs as ONE packed integer GEMM over the whole batch —
-/// an im2col of every image concatenated along the output columns — with
-/// the bias folded into the fused requantization. Results are bit-identical
+/// the convolution runs as packed integer GEMMs over im2col columns of the
+/// batch's output rows — split over the OpenMP team by (image, output
+/// row) and chunked to an L2 budget (qengine/schedule.hpp) — with the bias
+/// folded into the fused requantization. Results are bit-identical
 /// to the scalar path (integer accumulation is order-exact and the requant
 /// is the same round-half-up rescale). Pass `w_cache` (built from `w`) to
 /// skip re-packing constant weights on every call.
@@ -199,6 +202,16 @@ struct OpRun {
   int qgemm_bits = 0;
 };
 
+/// Per-thread records folded in thread order (max and sum are order-free).
+inline OpRun merge_runs(const std::vector<OpRun>& part) {
+  OpRun run;
+  for (const OpRun& p : part) {
+    run.max_abs = std::max(run.max_abs, p.max_abs);
+    run.at_rail += p.at_rail;
+  }
+  return run;
+}
+
 template <typename TI, typename TO>
 void conv2d_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
                const QTensor& w, const QTensor& bias, std::int64_t stride,
@@ -206,6 +219,31 @@ void conv2d_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
                fixed::RoundingScheme scheme, const QGemmOperandCache* w_cache,
                bool fuse_relu, const fixed::FixedFormat* fold_fmt,
                QTensorT<TO>& out, OpRun& run);
+
+/// Per-capsule squash of a channel-grouped feature map [B, T*D, H, W] (see
+/// squash_channels in qgraph.hpp), on the node schedule
+/// (qengine/schedule.hpp). `fold_fmt` composes an exact trailing rescale
+/// out_fmt -> *fold_fmt into the output pass.
+template <typename TI, typename TO>
+void squash_channels_to(const QTensorT<TI>& s, std::int64_t caps_dim,
+                        fixed::FixedFormat out_fmt,
+                        const fixed::FixedFormat* fold_fmt, QTensorT<TO>& out,
+                        OpRun& run);
+
+/// A ConvCaps layer: conv2d into the pre-squash format mid_fmt, then the
+/// per-capsule squash of caps_dim channels into out_fmt (or *fold_fmt).
+/// On the packed-GEMM path each thread of the node schedule squashes the
+/// rows it just convolved, straight from its own int32 scratch chunk — no
+/// full pre-squash value is materialized. Otherwise the exact conv and the
+/// squash run one after the other. Bit-identical either way.
+template <typename TI, typename TO>
+void conv_caps_to(const QTensorT<TI>& x, std::int64_t x_max_abs,
+                  const QTensor& w, const QTensor& bias, std::int64_t stride,
+                  std::int64_t pad, const QGemmOperandCache* w_cache,
+                  fixed::FixedFormat mid_fmt, std::int64_t caps_dim,
+                  fixed::FixedFormat out_fmt,
+                  const fixed::FixedFormat* fold_fmt, QTensorT<TO>& out,
+                  OpRun& run);
 
 /// In-place ReLU; records the new largest |raw| (rails are not counted).
 template <typename T>

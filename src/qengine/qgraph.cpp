@@ -20,7 +20,7 @@
 #include "nn/fc_caps.hpp"
 #include "nn/network.hpp"
 #include "nn/primary_caps.hpp"
-#include "tensor/caps_kernels.hpp"
+#include "qengine/schedule.hpp"
 
 namespace qcaps::qengine {
 namespace {
@@ -226,134 +226,27 @@ void gather_caps_rows(const T* src, std::int64_t b, std::int64_t types,
               src[((bi * types * d) + t * d + dd) * plane + p];
 }
 
-// One (image, capsule type) slab of squash_channels: capsule (y, x)'s D
-// elements sit `plane` apart, so the squared norms accumulate vertically
-// across the D channel rows, pixel block by pixel block, and the gain
-// rescales each element in a second pass. run_avx512 is the same body
-// compiled for AVX-512, where the 64-bit multiplies and the clamp vectorize.
-template <typename TI, typename TO>
-struct SquashSlab {
-  const hwmodel::SquashUnit& unit;
-  std::int64_t caps_dim, plane;
-  int shift_up, shift;
-  std::int64_t half, lo, hi;  ///< output rounding constant and clamp rails
-  std::int64_t rail_lo, rail_hi;  ///< the result format's rails (counted)
-
-  [[gnu::always_inline]] inline void body(const TI* src, TO* dst,
-                                          std::int64_t& max_abs_out,
-                                          std::uint64_t& at_rail_out) const {
-    constexpr std::int64_t kBlock = 512;
-    std::int64_t nsq[kBlock];
-    std::int64_t gain[kBlock];
-    std::int64_t max_abs = 0;
-    std::uint64_t at_rail = 0;
-    for (std::int64_t p0 = 0; p0 < plane; p0 += kBlock) {
-      const std::int64_t pc = std::min(kBlock, plane - p0);
-      std::fill(nsq, nsq + pc, std::int64_t{0});
-      for (std::int64_t j = 0; j < caps_dim; ++j) {
-        const TI* row = src + j * plane + p0;
-        if (shift_up >= 0)
-          for (std::int64_t p = 0; p < pc; ++p)
-            nsq[p] += (static_cast<std::int64_t>(row[p]) * row[p]) << shift_up;
-        else
-          for (std::int64_t p = 0; p < pc; ++p)
-            nsq[p] +=
-                (static_cast<std::int64_t>(row[p]) * row[p]) >> -shift_up;
-      }
-      unit.gain_raw_n(nsq, gain, pc);
-      for (std::int64_t j = 0; j < caps_dim; ++j) {
-        const TI* row = src + j * plane + p0;
-        TO* orow = dst + j * plane + p0;
-        for (std::int64_t p = 0; p < pc; ++p) {
-          const std::int64_t v =
-              std::clamp((row[p] * gain[p] + half) >> shift, lo, hi);
-          orow[p] = static_cast<TO>(v);
-          max_abs = std::max(max_abs, v < 0 ? -v : v);
-          at_rail += (v <= rail_lo || v >= rail_hi) ? 1 : 0;
-        }
-      }
-    }
-    max_abs_out = std::max(max_abs_out, max_abs);
-    at_rail_out += at_rail;
-  }
-#ifdef QCAPS_X86_NATIVE
-  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl"))) void
-  run_avx512(const TI* src, TO* dst, std::int64_t& max_abs,
-             std::uint64_t& at_rail) const {
-    body(src, dst, max_abs, at_rail);
-  }
-#endif
-};
-
-// Per-capsule squash of a channel-grouped feature map (see squash_channels
-// in the header), TI -> TO, recording the output's range and rail hits.
-template <typename TI, typename TO>
-void squash_channels_to(const QTensorT<TI>& s, std::int64_t caps_dim,
-                        fixed::FixedFormat out_fmt,
-                        const fixed::FixedFormat* fold_fmt, QTensorT<TO>& out,
-                        OpRun& run) {
-  QCAPS_CHECK_MSG(s.shape.size() == 4 && s.dim(1) % caps_dim == 0,
-                  "squash_channels expects [B, T*D, H, W] with D = "
-                      << caps_dim);
-  const std::int64_t b = s.dim(0), c = s.dim(1), plane = s.dim(2) * s.dim(3);
-  const std::int64_t types = c / caps_dim;
-  // Squash in the channel-grouped layout directly: capsule (b, t, y, x)'s
-  // elements sit exactly `plane` apart, so per (b, t) slab the squared norms
-  // accumulate vertically across the D contiguous channel rows, pixel-block
-  // by pixel-block — one streaming pass, no transposes. Bit-identical to
-  // SquashUnit::apply per capsule: integer addition is order-free and the
-  // per-term shift, the gain, and the final rescale are element-local.
-  const hwmodel::SquashUnit unit(s.fmt);
-  const int shift_up = unit.internal_qf() - 2 * s.fmt.qf;
-  const int prod_qf = s.fmt.qf + unit.internal_qf();
-  // The output rescale always shifts DOWN (internal_qf >= out qf), so the
-  // round-to-nearest + saturate is inlined here — per-element calls into
-  // hwmodel::rescale_raw would dominate the second pass.
-  int shift = prod_qf - out_fmt.qf;
-  QCAPS_CHECK(shift > 0);
-  std::int64_t half = std::int64_t{1} << (shift - 1);
-  std::int64_t lo = out_fmt.raw_min(), hi = out_fmt.raw_max();
-  fixed::FixedFormat result_fmt = out_fmt;
-  if (fold_fmt != nullptr) {
-    // Compose the trailing rescale out_fmt -> *fold_fmt into this pass:
-    // same bits as squash-then-rescale, one traversal (fusion pass
-    // validated exactness before annotating).
-    const RescaleFold fold =
-        compose_rescale(shift, lo, hi, out_fmt, *fold_fmt);
-    QCAPS_CHECK_MSG(fold.ok, "squash_channels: inexact rescale fold");
-    shift = fold.shift;
-    half = fold.add;
-    lo = fold.lo;
-    hi = fold.hi;
-    result_fmt = *fold_fmt;
-  }
-  out = QTensorT<TO>(s.shape, result_fmt);
-  const SquashSlab<TI, TO> slab{unit,   caps_dim, plane, shift_up,
-                                shift,  half,     lo,    hi,
-                                result_fmt.raw_min(), result_fmt.raw_max()};
-#ifdef QCAPS_X86_NATIVE
-  const bool avx512 = tensor::caps_kernel() == tensor::Isa::kAvx512;
-#endif
+// out = clamp(a + b, lo, hi) over n elements, recording range and rail hits.
+template <typename T>
+void add_run(const T* __restrict a, const T* __restrict b, T* __restrict out,
+             std::int64_t n, std::int64_t lo, std::int64_t hi,
+             std::int64_t& max_abs_out, std::uint64_t& at_rail_out) {
   std::int64_t max_abs = 0;
   std::uint64_t at_rail = 0;
-  const std::int64_t slabs = b * types;
-#pragma omp parallel for schedule(static) if (slabs > 1) \
-    reduction(max : max_abs) reduction(+ : at_rail)
-  for (std::int64_t sl = 0; sl < slabs; ++sl) {
-    const TI* src = s.raw.data() + sl * caps_dim * plane;
-    TO* dst = out.raw.data() + sl * caps_dim * plane;
-#ifdef QCAPS_X86_NATIVE
-    if (avx512) {
-      slab.run_avx512(src, dst, max_abs, at_rail);
-      continue;
-    }
-#endif
-    slab.body(src, dst, max_abs, at_rail);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t v =
+        std::clamp<std::int64_t>(static_cast<std::int64_t>(a[i]) + b[i], lo, hi);
+    out[i] = static_cast<T>(v);
+    max_abs = std::max(max_abs, v < 0 ? -v : v);
+    at_rail += (v <= lo || v >= hi) ? 1 : 0;
   }
-  run = OpRun{max_abs, at_rail, 0};
+  max_abs_out = std::max(max_abs_out, max_abs);
+  at_rail_out += at_rail;
 }
 
-// Saturating raw add of two same-format values in one container.
+// Saturating raw add of two same-format values in one container, on the
+// row split of the node schedule (qengine/schedule.hpp): each thread adds
+// the rows its own thread wrote in the producing convs.
 template <typename T>
 void residual_add_to(const QTensorT<T>& a, const QTensorT<T>& b,
                      QTensorT<T>& out, OpRun& run) {
@@ -361,34 +254,30 @@ void residual_add_to(const QTensorT<T>& a, const QTensorT<T>& b,
                   "residual_add expects same-shape, same-format operands");
   out = QTensorT<T>(a.shape, a.fmt);
   const std::int64_t lo = a.fmt.raw_min(), hi = a.fmt.raw_max();
-  const std::int64_t n = a.numel();
-  std::int64_t max_abs = 0;
-  std::uint64_t at_rail = 0;
-#pragma omp parallel for schedule(static) if (n > (1 << 16)) \
-    reduction(max : max_abs) reduction(+ : at_rail)
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::size_t k = static_cast<std::size_t>(i);
-    const std::int64_t v = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(a.raw[k]) + b.raw[k], lo, hi);
-    out.raw[k] = static_cast<T>(v);
-    max_abs = std::max(max_abs, v < 0 ? -v : v);
-    at_rail += (v <= lo || v >= hi) ? 1 : 0;
-  }
-  run = OpRun{max_abs, at_rail, 0};
-}
-
-template <typename TI, typename TO>
-void exec_conv_caps(const QuantizedOp& op, const QTensorT<TI>& x,
-                    std::int64_t x_max_abs, QTensorT<TO>& out, OpRun& run) {
-  with_container(op.mid_fmt, [&](auto& s) {
-    OpRun srun;
-    conv2d_to(x, x_max_abs, op.weight, op.bias, op.stride, op.pad, op.mid_fmt,
-              kRtn, &op.wcache, false, nullptr, s, srun);
-    squash_channels_to(s, op.out_dim, op.out_fmt,
-                       op.fused_rescale ? &op.fused_out_fmt : nullptr, out,
-                       run);
-    run.qgemm_bits = srun.qgemm_bits;
+  // [B, C, H, W] splits by (image, row); any other rank is one image of
+  // one channel row.
+  const bool maps = a.shape.size() == 4;
+  const std::int64_t images = maps ? a.dim(0) : 1;
+  const std::int64_t chans = maps ? a.dim(1) : 1;
+  const std::int64_t rows = maps ? a.dim(2) : 1;
+  const std::int64_t width = maps ? a.dim(3) : a.numel();
+  const int threads = schedule_threads();
+  std::vector<OpRun> part(static_cast<std::size_t>(threads));
+  for_each_row_range(threads, images, rows, [&](int t, std::int64_t r0,
+                                                std::int64_t r1) {
+    std::int64_t max_abs = 0;
+    std::uint64_t at_rail = 0;
+    for_each_image_rows(r0, r1, rows, [&](std::int64_t bi, std::int64_t ya,
+                                          std::int64_t yb) {
+      for (std::int64_t ch = 0; ch < chans; ++ch) {
+        const std::int64_t o = ((bi * chans + ch) * rows + ya) * width;
+        add_run(a.raw.data() + o, b.raw.data() + o, out.raw.data() + o,
+                (yb - ya) * width, lo, hi, max_abs, at_rail);
+      }
+    });
+    part[static_cast<std::size_t>(t)] = OpRun{max_abs, at_rail, 0};
   });
+  run = merge_runs(part);
 }
 
 template <typename TI, typename TO>
@@ -1225,7 +1114,10 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images,
         break;
       case QOpKind::kConvCaps:
         produce([&](const auto& x, auto& out) {
-          exec_conv_caps(op, x, xmax, out, y.run);
+          conv_caps_to(x, xmax, op.weight, op.bias, op.stride, op.pad,
+                       &op.wcache, op.mid_fmt, op.out_dim, op.out_fmt,
+                       op.fused_rescale ? &op.fused_out_fmt : nullptr, out,
+                       y.run);
         });
         break;
       case QOpKind::kConvCaps3d:

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -430,6 +435,101 @@ TEST(QEngineRouting, JMajorPathBitIdenticalToLegacy) {
     }
   }
 }
+
+// ---- node schedule: team splits ---------------------------------------------
+
+// The conv-shaped ops split a node's (image, output row) pairs over the
+// OpenMP team, and each thread chunks its range; with these shapes (a wide
+// fan-in over 32-pixel rows) ranges and chunks cut images at output rows.
+// Every batch x team split must reproduce the one-thread bits, including
+// what the output pass recorded.
+class QEngineSchedule
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+template <typename T>
+void expect_same_run(const QTensorT<T>& got, const OpRun& got_run,
+                     const QTensorT<T>& want, const OpRun& want_run,
+                     const char* what) {
+  ASSERT_EQ(got.shape, want.shape) << what;
+  ASSERT_TRUE(got.fmt == want.fmt) << what;
+  for (std::size_t i = 0; i < got.raw.size(); ++i)
+    ASSERT_EQ(got.raw[i], want.raw[i]) << what << " flat " << i;
+  EXPECT_EQ(got_run.max_abs, want_run.max_abs) << what;
+  EXPECT_EQ(got_run.at_rail, want_run.at_rail) << what;
+  EXPECT_EQ(got_run.qgemm_bits, want_run.qgemm_bits) << what;
+}
+
+TEST_P(QEngineSchedule, TeamSplitsMatchOneThreadBitForBit) {
+  const auto [batch, team] = GetParam();
+  common::Rng rng(31);
+  const fixed::FixedFormat xf(2, 5), wf(1, 6), of(2, 4), mid(4, 9);
+  const QTensor x = random_q(rng, {batch, 128, 32, 32}, xf, 1.9f);
+  const std::int64_t xmax = x.max_abs_raw();
+  const QTensor w = random_q(rng, {8, 128, 3, 3}, wf, 0.9f);
+  const QTensor bias = random_q(rng, {8}, wf, 0.5f);
+  const QGemmOperandCache wc = make_operand_cache(w);
+  // ConvCaps3d: 4 input types of 32-D capsules voting for 2 types of 4-D,
+  // stride 2 (the strided im2col rows).
+  const QTensor wv = random_q(rng, {4 * 8, 32, 3, 3}, wf, 0.9f);
+  const QGemmOperandCache grouped = make_operand_cache(wv);
+
+  struct Result {
+    QTensorT<std::int8_t> conv, caps, votes;
+    OpRun conv_run, caps_run, votes_run;
+  };
+  const auto run_all = [&](int threads) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    Result r;
+    conv2d_to(x, xmax, w, bias, 1, 1, of,
+              fixed::RoundingScheme::kRoundToNearest, &wc, false, nullptr,
+              r.conv, r.conv_run);
+    conv_caps_to(x, xmax, w, bias, 1, 1, &wc, mid, 4, of, nullptr, r.caps,
+                 r.caps_run);
+    r.votes = QTensorT<std::int8_t>({batch * 16 * 16, 2, 4, 4}, of);
+    EXPECT_TRUE(conv_caps3d_votes_to(x, xmax, grouped, wf, 4, 32, 2, 4, 3, 2,
+                                     1, of, r.votes, r.votes_run));
+    return r;
+  };
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  const Result want = run_all(1);
+  const Result got = run_all(team);
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+  // The packed path ran (int8 operands), not the exact fallback.
+  EXPECT_EQ(want.conv_run.qgemm_bits, 8);
+  EXPECT_EQ(want.caps_run.qgemm_bits, 8);
+  EXPECT_EQ(want.votes_run.qgemm_bits, 8);
+  expect_same_run(got.conv, got.conv_run, want.conv, want.conv_run, "conv2d");
+  expect_same_run(got.caps, got.caps_run, want.caps, want.caps_run,
+                  "conv caps");
+  expect_same_run(got.votes, got.votes_run, want.votes, want.votes_run,
+                  "votes");
+
+  // Independent of any split: a range above int16 sends the same values
+  // down the exact int64 scalar path, no chunking and no fused squash.
+  const std::int64_t no_tier = std::int64_t{1} << 20;
+  QTensorT<std::int8_t> exact;
+  OpRun exact_run;
+  conv2d_to(x, no_tier, w, bias, 1, 1, of,
+            fixed::RoundingScheme::kRoundToNearest, &wc, false, nullptr, exact,
+            exact_run);
+  exact_run.qgemm_bits = 8;
+  expect_same_run(got.conv, got.conv_run, exact, exact_run, "exact conv2d");
+  conv_caps_to(x, no_tier, w, bias, 1, 1, &wc, mid, 4, of, nullptr, exact,
+               exact_run);
+  EXPECT_EQ(exact_run.qgemm_bits, 64);
+  exact_run.qgemm_bits = 8;
+  expect_same_run(got.caps, got.caps_run, exact, exact_run, "exact caps");
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchByTeam, QEngineSchedule,
+                         ::testing::Combine(::testing::Values(1, 3, 5),
+                                            ::testing::Values(1, 2, 3)));
 
 // ---- classification head precision ------------------------------------------
 

@@ -11,7 +11,8 @@
 // force kRescale nodes (foldable downshifts, unfoldable upshifts, int32 and
 // int64 wide values) drive both; outputs and per-node saturation counts
 // must agree bit for bit under every forced qgemm/caps tier, with fusion on
-// and off, at OpenMP teams of 1 and 2.
+// and off, at OpenMP teams of 1, 2 and 3, on batches of 2 and 3 images
+// (an odd team or batch splits the node schedule's rows mid-image).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -364,7 +365,7 @@ void run_family(nn::Network& net, std::size_t layers,
       for (const Tier& tier : all_tiers) {
         tensor::qgemm_force_kernel(tier.isa);
         tensor::caps_force_kernel(tier.isa);
-        for (const int team : {1, 2}) {
+        for (const int team : {1, 2, 3}) {
 #ifdef _OPENMP
           omp_set_num_threads(team);
 #endif
@@ -421,18 +422,22 @@ TEST(QGraphDifferential, ShallowAndDeepCapsMatchInt64OracleBitForBit) {
     auto net = models::build_shallow_caps(
         models::ShallowCapsConfig::experiment(), rng);
     scale_params(*net, 3.0f);
-    const tensor::Tensor images =
-        tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
-    run_family(*net, 3, images, 1000, 6, containers, gemm_widths);
+    for (const std::int64_t batch : {2, 3}) {
+      const tensor::Tensor images =
+          tensor::Tensor::uniform({batch, 1, 28, 28}, rng, 0.0f, 1.0f);
+      run_family(*net, 3, images, 1000, 6, containers, gemm_widths);
+    }
   }
   {
     common::Rng rng(402);
     auto net =
         models::build_deep_caps(models::DeepCapsConfig::experiment(28, 1), rng);
     scale_params(*net, 3.0f);
-    const tensor::Tensor images =
-        tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
-    run_family(*net, 6, images, 2000, 4, containers, gemm_widths);
+    for (const std::int64_t batch : {2, 3}) {
+      const tensor::Tensor images =
+          tensor::Tensor::uniform({batch, 1, 28, 28}, rng, 0.0f, 1.0f);
+      run_family(*net, 6, images, 2000, 4, containers, gemm_widths);
+    }
   }
   // The draws reach every container and both packed qgemm widths plus the
   // exact int64 path.
