@@ -53,17 +53,3 @@ fi
 # Extra args (e.g. --benchmark_filter=...) pass through to the binary.
 "$BIN" --benchmark_out="$OUT" --benchmark_out_format=json $FAST_ARGS "$@"
 echo "wrote $OUT"
-
-# Distill the end-to-end headline rows (serving rates, int8 GEMM tier,
-# routing kernels) into the machine-readable companion the bench-smoke CI
-# step diffs against. The default full-protocol run refreshes the committed
-# BENCH_e2e.json; any other output name (e.g. CI's BENCH_smoke.json) gets a
-# derived companion (BENCH_smoke.e2e.json) so the committed baseline is
-# never clobbered by a smoke run. Skipped when python3 is absent.
-case "$(basename "$OUT")" in
-  BENCH_kernels.json) E2E=$(dirname "$OUT")/BENCH_e2e.json ;;
-  *) E2E="${OUT%.json}.e2e.json" ;;
-esac
-if command -v python3 > /dev/null 2>&1; then
-  python3 "$(dirname "$0")/distill_e2e.py" "$OUT" "$E2E" || true
-fi

@@ -117,16 +117,6 @@ const T* weight_panel(const QTensor& w, const QGemmOperandCache* cache,
   return local.data();
 }
 
-template <typename T>
-void run_qgemm_matmul(const QTensor& a, const QTensor& b, std::int64_t m,
-                      std::int64_t n, std::int64_t k,
-                      const tensor::QGemmRequant& rq, std::int32_t* c) {
-  const auto ap = narrow_copy<T>(a);
-  const auto bp = narrow_copy<T>(b);
-  tensor::qgemm(tensor::Trans::kN, tensor::Trans::kN, m, n, k, ap.data(), k,
-                bp.data(), n, c, n, rq);
-}
-
 // One strided GEMM per input type i (the shape qgemm amortizes best):
 //   c[:, i, :] [B x JD] = u[:, i, :] [B x Din] * w[i]^T [Din x JD]
 // The i-major result is permuted into the j-major votes layout by the
@@ -876,6 +866,103 @@ QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
   return out;
 }
 
+// The routing iterations of one row at accumulator width A: int32 when the
+// operand ranges rule out a wrap (the contractions vectorize), int64
+// otherwise. Integer addition is associative, so both widths give the same
+// bits; every rescale point (into QDR before the squash, per Fig. 9) is the
+// same. `u` is the row's votes [Nout, Nin, D] widened to A; the outputs
+// v [Nout, D] land in act fmt in `v_raw`.
+template <typename A>
+void route_row(const A* u, std::int64_t nout, std::int64_t nin,
+               std::int64_t d, int iterations,
+               const fixed::FixedFormat& act_fmt,
+               const fixed::FixedFormat& dr_fmt,
+               const hwmodel::SoftmaxUnit& softmax,
+               const hwmodel::SquashUnit& squash, std::int64_t* v_raw) {
+  // Per-row state: logits b (dr fmt), couplings c (act fmt). Both are held
+  // j-major [Nout, Nin] — the transposed-batch orientation: the softmax
+  // normalizes each logical i-row through the strided raw seam, while the
+  // weighted sum's coupling reads and the agreement's logit writes (both
+  // per-j slabs) become unit-stride.
+  std::vector<std::int64_t> b_raw(static_cast<std::size_t>(nout * nin), 0);
+  std::vector<std::int64_t> c_raw(static_cast<std::size_t>(nout * nin), 0);
+  std::vector<std::int64_t> s_raw(static_cast<std::size_t>(nout * d), 0);
+  std::vector<A> c(static_cast<std::size_t>(nout * nin), 0);
+  std::vector<A> v(static_cast<std::size_t>(nout * d), 0);
+  std::vector<A> acc(static_cast<std::size_t>(d), 0);
+  std::vector<std::int64_t> nsq_scratch(static_cast<std::size_t>(nout));
+  std::vector<std::int64_t> gain_scratch(static_cast<std::size_t>(nout));
+  const int acc_qf = 2 * act_fmt.qf;
+
+  for (int it = 0; it < iterations; ++it) {
+    // c_i* = softmax over Nout of b_i* — logits carry the QDR format but
+    // the couplings come out at activation precision (Fig. 9: the cheap
+    // data is what feeds the unit, not what leaves it). One batched raw
+    // pass over all Nin rows: no per-i FixedNum marshaling.
+    softmax.apply_rows_t_raw(b_raw.data(), c_raw.data(), nin, nout, act_fmt);
+    for (std::size_t t = 0; t < c_raw.size(); ++t)
+      c[t] = static_cast<A>(c_raw[t]);
+    // s_j = Σ_i c_ij û_j|i, accumulated wide, rescaled into dr fmt
+    // (precision lowered before the squash, Fig. 9). Per (r, j) slab the
+    // votes rows are contiguous in k, so the inner loop vectorizes.
+    for (std::int64_t j = 0; j < nout; ++j) {
+      const A* uj = u + j * nin * d;
+      const A* cj = c.data() + j * nin;
+      std::fill(acc.begin(), acc.end(), A{0});
+      for (std::int64_t i = 0; i < nin; ++i) {
+        const A cij = cj[i];
+        const A* uv = uj + i * d;
+        for (std::int64_t k = 0; k < d; ++k)
+          acc[static_cast<std::size_t>(k)] += cij * uv[k];
+      }
+      for (std::int64_t k = 0; k < d; ++k)
+        s_raw[static_cast<std::size_t>(j * d + k)] = hwmodel::rescale_raw(
+            acc[static_cast<std::size_t>(k)], acc_qf, dr_fmt);
+    }
+    // v_j = squash(s_j): QDR input, activation-precision output. Raw bulk
+    // seam: norms for all Nout capsules, ONE batched gain call (vector NR
+    // over lanes of norms), then the per-element finish — apply()'s
+    // arithmetic without the FixedNum marshaling.
+    {
+      const int shift_up = squash.internal_qf() - 2 * dr_fmt.qf;
+      const int prod_qf = dr_fmt.qf + squash.internal_qf();
+      for (std::int64_t j = 0; j < nout; ++j) {
+        const std::int64_t* sj = s_raw.data() + j * d;
+        std::int64_t sq = 0;
+        for (std::int64_t k = 0; k < d; ++k) {
+          const std::int64_t wide = sj[k] * sj[k];
+          sq += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
+        }
+        nsq_scratch[static_cast<std::size_t>(j)] = sq;
+      }
+      squash.gain_raw_n(nsq_scratch.data(), gain_scratch.data(), nout);
+      for (std::int64_t j = 0; j < nout; ++j) {
+        const std::int64_t g = gain_scratch[static_cast<std::size_t>(j)];
+        for (std::int64_t k = 0; k < d; ++k) {
+          const std::size_t t = static_cast<std::size_t>(j * d + k);
+          v_raw[t] = hwmodel::rescale_raw(s_raw[t] * g, prod_qf, act_fmt);
+          v[t] = static_cast<A>(v_raw[t]);
+        }
+      }
+    }
+    if (it + 1 == iterations) break;
+    // b_ij += a_ij = v_j · û_j|i (wide dot, rescaled into dr fmt); the
+    // j-major logits make this a unit-stride walk per j-slab.
+    for (std::int64_t j = 0; j < nout; ++j) {
+      std::int64_t* bj = b_raw.data() + j * nin;
+      const A* uj = u + j * nin * d;
+      const A* vj = v.data() + j * d;
+      for (std::int64_t i = 0; i < nin; ++i) {
+        const A* uv = uj + i * d;
+        A dot = 0;
+        for (std::int64_t k = 0; k < d; ++k) dot += uv[k] * vj[k];
+        const std::int64_t a = hwmodel::rescale_raw(dot, acc_qf, dr_fmt);
+        bj[i] = hwmodel::saturate_raw(bj[i] + a, dr_fmt);
+      }
+    }
+  }
+}
+
 template <typename TI, typename TO>
 void dynamic_routing_to(const QTensorT<TI>& votes, std::int64_t votes_max_abs,
                         int iterations, fixed::FixedFormat act_fmt,
@@ -893,17 +980,12 @@ void dynamic_routing_to(const QTensorT<TI>& votes, std::int64_t votes_max_abs,
   run = OpRun{};
   if (out.numel() == 0) return;
 
-  // Integer fast path: with the j-major layout both contractions walk
-  // unit-stride int32 slabs, and exact int32 accumulation is admissible as
-  // long as Σ |c||u| (resp. Σ |v||u|) cannot wrap. Couplings and squashed
-  // outputs carry the activation format, so their raw magnitude is bounded
-  // by 2^(wl-1); the votes' actual range is scanned once. Integer addition
-  // is associative, so the int32 and int64 paths are bit-identical — the
-  // requant points (rescale into QDR before squash, per Fig. 9) are
-  // untouched. The votes are widened once at entry: to int32 on the fast
-  // path, to int64 on the exact one.
-  const std::int64_t umax = votes_max_abs;
-  const int bu = std::bit_width(static_cast<std::uint64_t>(umax));
+  // Exact int32 accumulation is admissible as long as Σ |c||u| (resp.
+  // Σ |v||u|) cannot wrap. Couplings and squashed outputs carry the
+  // activation format, so their raw magnitude is bounded by 2^(wl-1); the
+  // votes' range comes from the producer. The votes are widened once at
+  // entry: to int32 on the fast path, to int64 on the exact one.
+  const int bu = std::bit_width(static_cast<std::uint64_t>(votes_max_abs));
   const int bact = act_fmt.wordlength();  // |c|, |v| <= 2^(wl-1)
   const bool i32_ok =
       bu + bact + ceil_log2(std::max<std::int64_t>(std::max(nin, d), 1)) <= 30;
@@ -920,124 +1002,14 @@ void dynamic_routing_to(const QTensorT<TI>& votes, std::int64_t votes_max_abs,
 #pragma omp parallel for schedule(static) if (r_count > 4) \
     reduction(max : max_abs) reduction(+ : at_rail)
   for (std::int64_t r = 0; r < r_count; ++r) {
-    // Per-row state: logits b (dr fmt), couplings c (act fmt). Both are
-    // held j-major [Nout, Nin] — the transposed-batch orientation: the
-    // softmax normalizes each logical i-row through the strided raw seam,
-    // while the weighted sum's coupling reads and the agreement's logit
-    // writes (both per-j slabs) become unit-stride.
-    std::vector<std::int64_t> b_raw(static_cast<std::size_t>(nout * nin), 0);
-    std::vector<std::int64_t> s_raw(static_cast<std::size_t>(nout * d), 0);
-    std::vector<std::int64_t> v_raw(static_cast<std::size_t>(nout * d), 0);
-    std::vector<std::int32_t> c32(static_cast<std::size_t>(nout * nin), 0);
-    std::vector<std::int32_t> v32(static_cast<std::size_t>(nout * d), 0);
-    std::vector<std::int32_t> acc32(static_cast<std::size_t>(d), 0);
-    std::vector<std::int64_t> c_raw(static_cast<std::size_t>(nout * nin), 0);
-    std::vector<std::int64_t> nsq_scratch(static_cast<std::size_t>(nout));
-    std::vector<std::int64_t> gain_scratch(static_cast<std::size_t>(nout));
-    const std::int64_t* u = i32_ok ? nullptr : u64.data() + r * nout * nin * d;
-    const std::int32_t* ur32 = i32_ok ? u32.data() + r * nout * nin * d
-                                      : nullptr;
-
-    for (int it = 0; it < iterations; ++it) {
-      // c_i* = softmax over Nout of b_i* — logits carry the QDR format but
-      // the couplings come out at activation precision (Fig. 9: the cheap
-      // data is what feeds the unit, not what leaves it). One batched raw
-      // pass over all Nin rows: no per-i FixedNum marshaling.
-      softmax.apply_rows_t_raw(b_raw.data(), c_raw.data(), nin, nout,
-                               act_fmt);
-      if (i32_ok)
-        for (std::size_t t = 0; t < c_raw.size(); ++t)
-          c32[t] = static_cast<std::int32_t>(c_raw[t]);
-      // s_j = Σ_i c_ij û_j|i, accumulated wide, rescaled into dr fmt
-      // (precision lowered before the squash, Fig. 9). Per (r, j) slab the
-      // votes rows are contiguous in k, so the int32 loop vectorizes.
-      const int acc_qf = act_fmt.qf + act_fmt.qf;
-      for (std::int64_t j = 0; j < nout; ++j) {
-        if (i32_ok) {
-          const std::int32_t* uj = ur32 + j * nin * d;
-          const std::int32_t* cj = c32.data() + j * nin;
-          std::fill(acc32.begin(), acc32.end(), 0);
-          for (std::int64_t i = 0; i < nin; ++i) {
-            const std::int32_t cij = cj[i];
-            const std::int32_t* uv = uj + i * d;
-            for (std::int64_t k = 0; k < d; ++k)
-              acc32[static_cast<std::size_t>(k)] += cij * uv[k];
-          }
-          for (std::int64_t k = 0; k < d; ++k)
-            s_raw[static_cast<std::size_t>(j * d + k)] = hwmodel::rescale_raw(
-                acc32[static_cast<std::size_t>(k)], acc_qf, dr_fmt);
-        } else {
-          const std::int64_t* uj = u + j * nin * d;
-          const std::int64_t* cj = c_raw.data() + j * nin;
-          for (std::int64_t k = 0; k < d; ++k) {
-            std::int64_t acc = 0;
-            for (std::int64_t i = 0; i < nin; ++i)
-              acc += cj[i] * uj[i * d + k];
-            s_raw[static_cast<std::size_t>(j * d + k)] =
-                hwmodel::rescale_raw(acc, acc_qf, dr_fmt);
-          }
-        }
-      }
-      // v_j = squash(s_j): QDR input, activation-precision output. Raw bulk
-      // seam: norms for all Nout capsules, ONE batched gain call (vector NR
-      // over lanes of norms), then the per-element finish — apply()'s
-      // arithmetic without the FixedNum marshaling.
-      {
-        const int shift_up = squash.internal_qf() - 2 * dr_fmt.qf;
-        const int prod_qf = dr_fmt.qf + squash.internal_qf();
-        for (std::int64_t j = 0; j < nout; ++j) {
-          const std::int64_t* sj = s_raw.data() + j * d;
-          std::int64_t acc = 0;
-          for (std::int64_t k = 0; k < d; ++k) {
-            const std::int64_t wide = sj[k] * sj[k];
-            acc += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
-          }
-          nsq_scratch[static_cast<std::size_t>(j)] = acc;
-        }
-        squash.gain_raw_n(nsq_scratch.data(), gain_scratch.data(), nout);
-        for (std::int64_t j = 0; j < nout; ++j) {
-          const std::int64_t g = gain_scratch[static_cast<std::size_t>(j)];
-          for (std::int64_t k = 0; k < d; ++k) {
-            const std::int64_t raw = hwmodel::rescale_raw(
-                s_raw[static_cast<std::size_t>(j * d + k)] * g, prod_qf,
-                act_fmt);
-            v_raw[static_cast<std::size_t>(j * d + k)] = raw;
-            if (i32_ok)
-              v32[static_cast<std::size_t>(j * d + k)] =
-                  static_cast<std::int32_t>(raw);
-          }
-        }
-      }
-      if (it + 1 == iterations) break;
-      // b_ij += a_ij = v_j · û_j|i (wide dot, rescaled into dr fmt); the
-      // j-major logits make this a unit-stride walk per j-slab.
-      for (std::int64_t j = 0; j < nout; ++j) {
-        std::int64_t* bj = b_raw.data() + j * nin;
-        if (i32_ok) {
-          const std::int32_t* uj = ur32 + j * nin * d;
-          const std::int32_t* vj = v32.data() + j * d;
-          for (std::int64_t i = 0; i < nin; ++i) {
-            const std::int32_t* uv = uj + i * d;
-            std::int32_t acc = 0;
-            for (std::int64_t k = 0; k < d; ++k) acc += uv[k] * vj[k];
-            const std::int64_t a =
-                hwmodel::rescale_raw(acc, 2 * act_fmt.qf, dr_fmt);
-            bj[i] = hwmodel::saturate_raw(bj[i] + a, dr_fmt);
-          }
-        } else {
-          const std::int64_t* uj = u + j * nin * d;
-          const std::int64_t* vj = v_raw.data() + j * d;
-          for (std::int64_t i = 0; i < nin; ++i) {
-            const std::int64_t* uv = uj + i * d;
-            std::int64_t acc = 0;
-            for (std::int64_t k = 0; k < d; ++k) acc += uv[k] * vj[k];
-            const std::int64_t a =
-                hwmodel::rescale_raw(acc, 2 * act_fmt.qf, dr_fmt);
-            bj[i] = hwmodel::saturate_raw(bj[i] + a, dr_fmt);
-          }
-        }
-      }
-    }
+    std::vector<std::int64_t> v_raw(static_cast<std::size_t>(nout * d));
+    const std::int64_t off = r * nout * nin * d;
+    if (i32_ok)
+      route_row(u32.data() + off, nout, nin, d, iterations, act_fmt, dr_fmt,
+                softmax, squash, v_raw.data());
+    else
+      route_row(u64.data() + off, nout, nin, d, iterations, act_fmt, dr_fmt,
+                softmax, squash, v_raw.data());
     TO* dst = out.raw.data() + r * nout * d;
     for (std::size_t t = 0; t < v_raw.size(); ++t) {
       dst[t] = static_cast<TO>(v_raw[t]);
@@ -1054,46 +1026,6 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
   OpRun run;
   dynamic_routing_to(votes, votes.max_abs_raw(), iterations, act_fmt, dr_fmt,
                      out, run);
-  return out;
-}
-
-QTensor matmul(const QTensor& a, const QTensor& b, fixed::FixedFormat out_fmt,
-               fixed::RoundingScheme scheme) {
-  QCAPS_CHECK_MSG(a.shape.size() == 2 && b.shape.size() == 2,
-                  "qengine matmul expects 2-D operands");
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  QCAPS_CHECK(b.dim(0) == k);
-  const int acc_qf = a.fmt.qf + b.fmt.qf;
-  QTensor out({m, n}, out_fmt);
-  if (k == 0) return out;
-
-  if (requant_expressible(acc_qf, out_fmt, scheme)) {
-    const int tier = qgemm_tier(a.max_abs_raw(), b.max_abs_raw(), k);
-    if (tier != 0) {
-      const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
-      std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-      if (tier == 1)
-        run_qgemm_matmul<std::int8_t>(a, b, m, n, k, rq, c.data());
-      else
-        run_qgemm_matmul<std::int16_t>(a, b, m, n, k, rq, c.data());
-      std::copy(c.begin(), c.end(), out.raw.begin());
-      return out;
-    }
-  }
-
-  // Exact int64 scalar path (wide operands or non-RTN schemes).
-  check_i64_acc(a.max_abs_raw(), b.max_abs_raw(), k, "qengine matmul");
-#pragma omp parallel for schedule(static) if (m * n * k > (1 << 16))
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p)
-        acc += a.raw[static_cast<std::size_t>(i * k + p)] *
-               b.raw[static_cast<std::size_t>(p * n + j)];
-      out.raw[static_cast<std::size_t>(i * n + j)] =
-          hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
-    }
-  }
   return out;
 }
 

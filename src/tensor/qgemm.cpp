@@ -31,36 +31,11 @@ constexpr std::int64_t kParallelMinWork = std::int64_t{1} << 16;
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
-// Per-thread packing buffers, reused across calls. The a8/b8 pair holds the
-// narrow panels of the VNNI tier and is only allocated when that tier runs.
-struct Scratch {
-  std::vector<std::int16_t> a;
-  std::vector<std::int16_t> b;
-  std::vector<std::int8_t> a8;
-  std::vector<std::uint8_t> b8;
-};
-
-Scratch& scratch() {
-  thread_local Scratch s;
-  if (s.a.empty()) {
-    s.a.resize(static_cast<std::size_t>(MC * KC));
-    s.b.resize(static_cast<std::size_t>(KC * NC));
-  }
-  return s;
-}
-
-#ifdef QCAPS_X86_NATIVE
-Scratch& scratch_vnni() {
-  Scratch& s = scratch();
-  if (s.a8.empty()) {
-    s.a8.resize(static_cast<std::size_t>(MC * KC));
-    s.b8.resize(static_cast<std::size_t>(KC * NC));
-  }
-  return s;
-}
-#endif
-
 // ---- packing ---------------------------------------------------------------
+//
+// pack_a / pack_b are overloaded on the panel element type: int16 panels
+// for the vpmaddwd tiers (below), int8 / uint8 panels for the VNNI int8
+// tier (further down).
 //
 // Panels widen the operands to int16. With kc2 = ceil(kc/2) and
 // kcp = kc2 * 2 (K padded to even):
@@ -72,7 +47,7 @@ Scratch& scratch_vnni() {
 // Rows/columns past the edge and the odd-K tail are zero.
 
 template <typename SrcT>
-void pack_a_block(Trans ta, const SrcT* a, std::int64_t lda, std::int64_t i0,
+void pack_a(Trans ta, const SrcT* a, std::int64_t lda, std::int64_t i0,
                   std::int64_t mc, std::int64_t p0, std::int64_t kc,
                   std::int16_t* out) {
   const std::int64_t kcp = 2 * ceil_div(kc, 2);
@@ -101,7 +76,7 @@ void pack_a_block(Trans ta, const SrcT* a, std::int64_t lda, std::int64_t i0,
 }
 
 template <typename SrcT>
-void pack_b_block(Trans tb, const SrcT* b, std::int64_t ldb, std::int64_t p0,
+void pack_b(Trans tb, const SrcT* b, std::int64_t ldb, std::int64_t p0,
                   std::int64_t kc, std::int64_t j0, std::int64_t nc,
                   std::int16_t* out) {
   const std::int64_t kc2 = ceil_div(kc, 2);
@@ -378,7 +353,7 @@ __attribute__((target("avx512f,avx512bw"))) void kernel_avx512_q(
 // caller's no-wrap bound and 32-bit addition is modular, so the result is
 // exact even when intermediate accumulators wrap.
 
-void pack_a_vnni(Trans ta, const std::int8_t* a, std::int64_t lda,
+void pack_a(Trans ta, const std::int8_t* a, std::int64_t lda,
                  std::int64_t i0, std::int64_t mc, std::int64_t p0,
                  std::int64_t kc, std::int8_t* out) {
   const std::int64_t kcp = 4 * ceil_div(kc, 4);
@@ -407,7 +382,7 @@ void pack_a_vnni(Trans ta, const std::int8_t* a, std::int64_t lda,
 inline constexpr std::int64_t VNR = 32;
 static_assert(NC % VNR == 0, "B scratch sizing assumes NC is a strip multiple");
 
-void pack_b_vnni(Trans tb, const std::int8_t* b, std::int64_t ldb,
+void pack_b(Trans tb, const std::int8_t* b, std::int64_t ldb,
                  std::int64_t p0, std::int64_t kc, std::int64_t j0,
                  std::int64_t nc, std::uint8_t* out) {
   const std::int64_t kc4 = ceil_div(kc, 4);
@@ -620,8 +595,8 @@ KernelChoice make_choice(Isa k) {
   switch (k) {
 #ifdef QCAPS_X86_NATIVE
     case Isa::kAvx512Vnni:
-      // The int16-panel kernel; the int8 path routes to the dedicated
-      // narrow-operand driver in qgemm_i32_impl.
+      // The int16-panel kernel; int8 operands take the QuadPanels format
+      // (see qgemm_i32).
       return {kernel_avx512vnni_q16, Isa::kAvx512Vnni};
     case Isa::kAvx512:
       return {kernel_avx512_q, Isa::kAvx512};
@@ -636,41 +611,86 @@ KernelChoice make_choice(Isa k) {
 
 KernelChoice g_choice = make_choice(isa_default());
 
-// Single-threaded blocked driver, structured exactly like gemm_serial in the
-// float backend. `pack_b(p0, kc, j0, nc, out)` fills the packed B panels for
-// the requested block in this call's own coordinate frame.
-template <typename SrcT, typename PackB>
-void qgemm_serial(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
-                  const SrcT* a, std::int64_t lda, const PackB& pack_b,
-                  std::int32_t* c, std::int64_t ldc, bool accumulate) {
+// ---- panel formats ---------------------------------------------------------
+//
+// What the blocked driver needs to know about a panel format: the packed
+// element types (they select the pack_a / pack_b overloads), how many K
+// elements share one 32-bit lane, the B strip width and the microkernel.
+
+// The vpmaddwd tiers (and int16 operands on VNNI): int16 panels, K pairs,
+// NR-wide strips, the active tier's kernel.
+struct PairPanels {
+  using A = std::int16_t;
+  using B = std::int16_t;
+  static constexpr std::int64_t kGroup = 2;
+  static constexpr std::int64_t kStrip = NR;
+  static KernelFn kernel() { return g_choice.fn; }
+};
+
+#ifdef QCAPS_X86_NATIVE
+// The VNNI int8 tier: narrow panels, K quads, VNR-wide strips, vpdpbusd.
+struct QuadPanels {
+  using A = std::int8_t;
+  using B = std::uint8_t;
+  static constexpr std::int64_t kGroup = 4;
+  static constexpr std::int64_t kStrip = VNR;
+  static auto kernel() { return &kernel_avx512vnni_q8; }
+};
+#endif
+
+// Per-thread packing buffers of format P, reused across calls. A packed
+// block never exceeds MC x KC (A) or KC x NC (B): MC is a multiple of MR,
+// NC of both strip widths, and KC of both K group sizes.
+template <typename P>
+struct Panels {
+  std::vector<typename P::A> a;
+  std::vector<typename P::B> b;
+};
+
+template <typename P>
+Panels<P>& scratch() {
+  thread_local Panels<P> s;
+  if (s.a.empty()) {
+    s.a.resize(static_cast<std::size_t>(MC * KC));
+    s.b.resize(static_cast<std::size_t>(KC * NC));
+  }
+  return s;
+}
+
+// ---- blocked driver --------------------------------------------------------
+
+// Single-threaded blocked driver over panel format P, structured exactly
+// like gemm_serial in the float backend: C[m,n] = op(A) * op(B) in int32.
+template <typename P, typename SrcT>
+void qgemm_serial(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                  std::int64_t k, const SrcT* a, std::int64_t lda,
+                  const SrcT* b, std::int64_t ldb, std::int32_t* c,
+                  std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
-    if (!accumulate)
-      for (std::int64_t i = 0; i < m; ++i)
-        std::fill(c + i * ldc, c + i * ldc + n, 0);
+    for (std::int64_t i = 0; i < m; ++i)
+      std::fill(c + i * ldc, c + i * ldc + n, 0);
     return;
   }
-  Scratch& s = scratch();
-  std::int16_t* apack = s.a.data();
-  std::int16_t* bpack = s.b.data();
-  const KernelFn kernel = g_choice.fn;
+  Panels<P>& s = scratch<P>();
+  const auto kernel = P::kernel();
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
     for (std::int64_t pc = 0; pc < k; pc += KC) {
       const std::int64_t kc = std::min(KC, k - pc);
-      const std::int64_t kc2 = ceil_div(kc, 2);
-      const bool acc_c = accumulate || pc > 0;
-      pack_b(pc, kc, jc, nc, bpack);
+      const std::int64_t kg = ceil_div(kc, P::kGroup);  // packed K groups
+      pack_b(tb, b, ldb, pc, kc, jc, nc, s.b.data());
       for (std::int64_t ic = 0; ic < m; ic += MC) {
         const std::int64_t mc = std::min(MC, m - ic);
-        pack_a_block(ta, a, lda, ic, mc, pc, kc, apack);
-        for (std::int64_t jr = 0; jr < nc; jr += NR) {
-          const std::int64_t nr = std::min(NR, nc - jr);
-          const std::int16_t* bstrip = bpack + (jr / NR) * (kc2 * NR * 2);
+        pack_a(ta, a, lda, ic, mc, pc, kc, s.a.data());
+        for (std::int64_t jr = 0; jr < nc; jr += P::kStrip) {
+          const std::int64_t nr = std::min(P::kStrip, nc - jr);
+          const typename P::B* bstrip =
+              s.b.data() + (jr / P::kStrip) * (kg * P::kStrip * P::kGroup);
           for (std::int64_t ir = 0; ir < mc; ir += MR) {
             const std::int64_t mr = std::min(MR, mc - ir);
-            kernel(kc2, apack + (ir / MR) * (kc2 * MR * 2), bstrip,
-                   c + (ic + ir) * ldc + jc + jr, ldc, mr, nr, acc_c);
+            kernel(kg, s.a.data() + (ir / MR) * (kg * MR * P::kGroup), bstrip,
+                   c + (ic + ir) * ldc + jc + jr, ldc, mr, nr, pc > 0);
           }
         }
       }
@@ -685,54 +705,14 @@ bool want_parallel(std::int64_t work) {
 }
 #endif
 
-#ifdef QCAPS_X86_NATIVE
-// Blocked driver for the VNNI int8 tier: same loop structure as
-// qgemm_serial, narrow panels, vpdpbusd microkernel.
-template <typename PackB>
-void qgemm_serial_vnni(Trans ta, std::int64_t m, std::int64_t n,
-                       std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                       const PackB& pack_b, std::int32_t* c, std::int64_t ldc,
-                       bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    if (!accumulate)
-      for (std::int64_t i = 0; i < m; ++i)
-        std::fill(c + i * ldc, c + i * ldc + n, 0);
-    return;
-  }
-  Scratch& s = scratch_vnni();
-  std::int8_t* apack = s.a8.data();
-  std::uint8_t* bpack = s.b8.data();
-  for (std::int64_t jc = 0; jc < n; jc += NC) {
-    const std::int64_t nc = std::min(NC, n - jc);
-    for (std::int64_t pc = 0; pc < k; pc += KC) {
-      const std::int64_t kc = std::min(KC, k - pc);
-      const std::int64_t kc4 = ceil_div(kc, 4);
-      const bool acc_c = accumulate || pc > 0;
-      pack_b(pc, kc, jc, nc, bpack);
-      for (std::int64_t ic = 0; ic < m; ic += MC) {
-        const std::int64_t mc = std::min(MC, m - ic);
-        pack_a_vnni(ta, a, lda, ic, mc, pc, kc, apack);
-        for (std::int64_t jr = 0; jr < nc; jr += VNR) {
-          const std::int64_t nr = std::min(VNR, nc - jr);
-          const std::uint8_t* bstrip = bpack + (jr / VNR) * (kc4 * VNR * 4);
-          for (std::int64_t ir = 0; ir < mc; ir += MR) {
-            const std::int64_t mr = std::min(MR, mc - ir);
-            kernel_avx512vnni_q8(kc4, apack + (ir / MR) * (kc4 * MR * 4),
-                                 bstrip, c + (ic + ir) * ldc + jc + jr, ldc,
-                                 mr, nr, acc_c);
-          }
-        }
-      }
-    }
-  }
-}
-
-void qgemm_i32_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                    std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                    const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
-                    std::int64_t ldc, bool accumulate) {
-  if (m <= 0 || n <= 0) return;
+// qgemm_serial, with the larger output dimension split over the OpenMP team
+// on tile boundaries when the product is big enough. Integer accumulation
+// is exact and associative, so any split is bit-identical.
+template <typename P, typename SrcT>
+void qgemm_blocked(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                   std::int64_t k, const SrcT* a, std::int64_t lda,
+                   const SrcT* b, std::int64_t ldb, std::int32_t* c,
+                   std::int64_t ldc) {
 #ifdef _OPENMP
   if (want_parallel(m * n * k)) {
     const bool split_n = n >= m;
@@ -748,317 +728,83 @@ void qgemm_i32_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
         if (split_n) {
           const std::int64_t j0 = lo * NR;
           const std::int64_t j1 = std::min(n, hi * NR);
-          const std::int8_t* bsub = tb == Trans::kN ? b + j0 : b + j0 * ldb;
-          auto pb = [tb, bsub, ldb](std::int64_t p0, std::int64_t kc,
-                                    std::int64_t jj, std::int64_t nc,
-                                    std::uint8_t* out) {
-            pack_b_vnni(tb, bsub, ldb, p0, kc, jj, nc, out);
-          };
-          qgemm_serial_vnni(ta, m, j1 - j0, k, a, lda, pb, c + j0, ldc,
-                            accumulate);
+          qgemm_serial<P>(ta, tb, m, j1 - j0, k, a, lda,
+                          tb == Trans::kN ? b + j0 : b + j0 * ldb, ldb, c + j0,
+                          ldc);
         } else {
           const std::int64_t i0 = lo * MR;
           const std::int64_t i1 = std::min(m, hi * MR);
-          const std::int8_t* asub = ta == Trans::kN ? a + i0 * lda : a + i0;
-          auto pb = [tb, b, ldb](std::int64_t p0, std::int64_t kc,
-                                 std::int64_t jj, std::int64_t nc,
-                                 std::uint8_t* out) {
-            pack_b_vnni(tb, b, ldb, p0, kc, jj, nc, out);
-          };
-          qgemm_serial_vnni(ta, i1 - i0, n, k, asub, lda, pb, c + i0 * ldc,
-                            ldc, accumulate);
+          qgemm_serial<P>(ta, tb, i1 - i0, n, k,
+                          ta == Trans::kN ? a + i0 * lda : a + i0, lda, b, ldb,
+                          c + i0 * ldc, ldc);
         }
       }
     }
-  } else
-#endif
-  {
-    auto pb = [tb, b, ldb](std::int64_t p0, std::int64_t kc, std::int64_t jj,
-                           std::int64_t nc, std::uint8_t* out) {
-      pack_b_vnni(tb, b, ldb, p0, kc, jj, nc, out);
-    };
-    qgemm_serial_vnni(ta, m, n, k, a, lda, pb, c, ldc, accumulate);
+    return;
   }
-  if (k <= 0) return;
-  // Undo the +128 B-panel offset: the driver accumulated
-  // acc + 128*rowsum(op(A))[i] mod 2^32 into each row (see the VNNI packing
-  // comment); subtract the offset term in wrapping 32-bit arithmetic.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (want_parallel(m * n))
 #endif
-  for (std::int64_t i = 0; i < m; ++i) {
-    std::int64_t sum = 0;
-    for (std::int64_t p = 0; p < k; ++p)
-      sum += ta == Trans::kN ? a[i * lda + p] : a[p * lda + i];
-    const std::uint32_t off = static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(std::int64_t{128} * sum));
-    std::int32_t* row = c + i * ldc;
-    for (std::int64_t j = 0; j < n; ++j)
-      row[j] =
-          static_cast<std::int32_t>(static_cast<std::uint32_t>(row[j]) - off);
-  }
+  qgemm_serial<P>(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
 }
-#endif  // QCAPS_X86_NATIVE
 
+// C[m,n] = op(A)[m,k] * op(B)[k,n], exact int32, on the active tier.
 template <typename SrcT>
-void qgemm_i32_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                    std::int64_t k, const SrcT* a, std::int64_t lda,
-                    const SrcT* b, std::int64_t ldb, std::int32_t* c,
-                    std::int64_t ldc, bool accumulate) {
+void qgemm_i32(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+               std::int64_t k, const SrcT* a, std::int64_t lda, const SrcT* b,
+               std::int64_t ldb, std::int32_t* c, std::int64_t ldc) {
 #ifdef QCAPS_X86_NATIVE
   if constexpr (std::is_same_v<SrcT, std::int8_t>) {
     if (g_choice.tier == Isa::kAvx512Vnni) {
-      qgemm_i32_vnni(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+      qgemm_blocked<QuadPanels>(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
+      if (m <= 0 || n <= 0 || k <= 0) return;
+      // Undo the +128 B-panel offset: the driver accumulated
+      // acc + 128*rowsum(op(A))[i] mod 2^32 into each row (see the VNNI
+      // packing comment); subtract the offset term in wrapping 32-bit
+      // arithmetic.
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (want_parallel(m * n))
+#endif
+      for (std::int64_t i = 0; i < m; ++i) {
+        std::int64_t sum = 0;
+        for (std::int64_t p = 0; p < k; ++p)
+          sum += ta == Trans::kN ? a[i * lda + p] : a[p * lda + i];
+        const std::uint32_t off = static_cast<std::uint32_t>(
+            static_cast<std::uint64_t>(std::int64_t{128} * sum));
+        std::int32_t* row = c + i * ldc;
+        for (std::int64_t j = 0; j < n; ++j)
+          row[j] = static_cast<std::int32_t>(
+              static_cast<std::uint32_t>(row[j]) - off);
+      }
       return;
     }
   }
 #endif
-#ifdef _OPENMP
-  if (want_parallel(m * n * k)) {
-    // Split the larger output dimension on tile boundaries. Integer
-    // accumulation is exact and associative, so any split is bit-identical.
-    const bool split_n = n >= m;
-    const std::int64_t tiles = split_n ? ceil_div(n, NR) : ceil_div(m, MR);
-#pragma omp parallel
-    {
-      const std::int64_t nt = omp_get_num_threads();
-      const std::int64_t t = omp_get_thread_num();
-      const std::int64_t per = ceil_div(tiles, nt);
-      const std::int64_t lo = std::min(t * per, tiles);
-      const std::int64_t hi = std::min(lo + per, tiles);
-      if (lo < hi) {
-        if (split_n) {
-          const std::int64_t j0 = lo * NR;
-          const std::int64_t j1 = std::min(n, hi * NR);
-          const SrcT* bsub = tb == Trans::kN ? b + j0 : b + j0 * ldb;
-          auto pb = [tb, bsub, ldb](std::int64_t p0, std::int64_t kc,
-                                    std::int64_t jj, std::int64_t nc,
-                                    std::int16_t* out) {
-            pack_b_block(tb, bsub, ldb, p0, kc, jj, nc, out);
-          };
-          qgemm_serial(ta, m, j1 - j0, k, a, lda, pb, c + j0, ldc, accumulate);
-        } else {
-          const std::int64_t i0 = lo * MR;
-          const std::int64_t i1 = std::min(m, hi * MR);
-          const SrcT* asub = ta == Trans::kN ? a + i0 * lda : a + i0;
-          auto pb = [tb, b, ldb](std::int64_t p0, std::int64_t kc,
-                                 std::int64_t jj, std::int64_t nc,
-                                 std::int16_t* out) {
-            pack_b_block(tb, b, ldb, p0, kc, jj, nc, out);
-          };
-          qgemm_serial(ta, i1 - i0, n, k, asub, lda, pb, c + i0 * ldc, ldc,
-                       accumulate);
-        }
-      }
-    }
-    return;
-  }
-#endif
-  auto pb = [tb, b, ldb](std::int64_t p0, std::int64_t kc, std::int64_t jj,
-                         std::int64_t nc, std::int16_t* out) {
-    pack_b_block(tb, b, ldb, p0, kc, jj, nc, out);
-  };
-  qgemm_serial(ta, m, n, k, a, lda, pb, c, ldc, accumulate);
+  qgemm_blocked<PairPanels>(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
-// ---- requantization --------------------------------------------------------
+// ---- requantize + scatter epilogue -----------------------------------------
 
-void check_requant(const QGemmRequant& rq) {
-  QCAPS_CHECK_MSG(rq.multiplier > 0, "qgemm requant multiplier must be > 0");
+// Validate up front, per-row shifts included: the epilogue may run inside
+// an OpenMP parallel region (the batch loop), where a QCAPS throw would
+// abort the process instead of propagating.
+void check_requant(const QGemmRequant& rq, std::int64_t m) {
   QCAPS_CHECK_MSG(rq.shift >= -30 && rq.shift <= 31,
                   "qgemm requant shift out of [-30, 31]");
   QCAPS_CHECK(rq.qmin <= rq.qmax);
+  if (rq.row_shifts)
+    for (std::int64_t i = 0; i < m; ++i)
+      QCAPS_CHECK_MSG(rq.row_shifts[i] >= -30 && rq.row_shifts[i] <= 31,
+                      "qgemm per-row requant shift out of [-30, 31]");
 }
 
-// Validate the per-row overrides up front: requant_pass may run inside an
-// OpenMP parallel region (the batch loop), where a QCAPS throw would abort
-// the process instead of propagating.
-void check_requant_rows(const QGemmRequant& rq, std::int64_t m) {
-  if (!rq.row_multipliers && !rq.row_shifts) return;
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t mult =
-        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
-    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
-    QCAPS_CHECK_MSG(mult > 0 && shift >= -30 && shift <= 31,
-                    "qgemm per-row requant parameters out of range");
-  }
-}
-
-inline std::int32_t requant_one(std::int64_t acc, std::int64_t multiplier,
-                                int shift, std::int32_t c_zero,
-                                std::int32_t qmin, std::int32_t qmax) {
-  const std::int64_t v = acc * multiplier;
-  const int total = 30 + shift;
-  std::int64_t r;
-  if (total > 0)
-    r = (v + (std::int64_t{1} << (total - 1))) >> total;  // round half-up
-  else if (total == 0)
-    r = v;
-  else
-    r = v << -total;
-  r += c_zero;
+// round_half_up(acc / 2^shift) clamped to [qmin, qmax]: a right shift with
+// the 2^(shift-1) rounding constant, or an exact left shift for shift <= 0.
+inline std::int32_t requant_one(std::int64_t acc, int shift, std::int32_t qmin,
+                                std::int32_t qmax) {
+  const std::int64_t r = shift > 0
+                             ? (acc + (std::int64_t{1} << (shift - 1))) >> shift
+                             : acc << -shift;
   return static_cast<std::int32_t>(std::clamp<std::int64_t>(r, qmin, qmax));
 }
-
-template <typename SrcT>
-std::vector<std::int64_t> op_a_row_sums(Trans ta, std::int64_t m,
-                                        std::int64_t k, const SrcT* a,
-                                        std::int64_t lda) {
-  std::vector<std::int64_t> sums(static_cast<std::size_t>(m), 0);
-  for (std::int64_t i = 0; i < m; ++i) {
-    std::int64_t s = 0;
-    for (std::int64_t p = 0; p < k; ++p)
-      s += ta == Trans::kN ? a[i * lda + p] : a[p * lda + i];
-    sums[static_cast<std::size_t>(i)] = s;
-  }
-  return sums;
-}
-
-template <typename SrcT>
-std::vector<std::int64_t> op_b_col_sums(Trans tb, std::int64_t k,
-                                        std::int64_t n, const SrcT* b,
-                                        std::int64_t ldb) {
-  std::vector<std::int64_t> sums(static_cast<std::size_t>(n), 0);
-  for (std::int64_t j = 0; j < n; ++j) {
-    std::int64_t s = 0;
-    for (std::int64_t p = 0; p < k; ++p)
-      s += tb == Trans::kN ? b[p * ldb + j] : b[j * ldb + p];
-    sums[static_cast<std::size_t>(j)] = s;
-  }
-  return sums;
-}
-
-#ifdef QCAPS_X86_NATIVE
-// Vectorized row requantization for the common case (no per-column
-// compensation): 8 accumulators per iteration through vpmuldq (the sign
-// behaviour matches the scalar requant_one exactly — the low 32 bits of the
-// sign-extended lane are the original accumulator, and arithmetic 64-bit
-// shift is the same floor division).
-//
-// GCC 12 emits -Wmaybe-uninitialized false positives from its own AVX-512
-// intrinsic headers here (PR105593).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f"))) void requant_row_avx512(
-    std::int32_t* row, std::int64_t n, std::int64_t base, std::int64_t mult,
-    int total, std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax) {
-  const __m512i vbase = _mm512_set1_epi64(base);
-  const __m512i vmult = _mm512_set1_epi64(mult);
-  const __m512i vrnd =
-      _mm512_set1_epi64(total > 0 ? (std::int64_t{1} << (total - 1)) : 0);
-  const __m512i vzero = _mm512_set1_epi64(c_zero);
-  const __m512i vmin = _mm512_set1_epi64(qmin);
-  const __m512i vmax = _mm512_set1_epi64(qmax);
-  const __m128i vshr = _mm_cvtsi32_si128(total > 0 ? total : 0);
-  const __m128i vshl = _mm_cvtsi32_si128(total < 0 ? -total : 0);
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512i acc = _mm512_add_epi64(
-        _mm512_cvtepi32_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j))),
-        vbase);
-    // |acc| <= 2^31, so the low 32 bits of each lane hold the exact value
-    // vpmuldq needs.
-    __m512i v = _mm512_mul_epi32(acc, vmult);
-    v = _mm512_sra_epi64(_mm512_add_epi64(v, vrnd), vshr);
-    if (total < 0) v = _mm512_sll_epi64(v, vshl);
-    v = _mm512_add_epi64(v, vzero);
-    v = _mm512_min_epi64(_mm512_max_epi64(v, vmin), vmax);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + j),
-                        _mm512_cvtepi64_epi32(v));
-  }
-  for (; j < n; ++j)
-    row[j] = requant_one(row[j] + base, mult, total - 30, c_zero, qmin, qmax);
-}
-#pragma GCC diagnostic pop
-#endif  // QCAPS_X86_NATIVE
-
-// In-place requantization of the raw int32 accumulators in C, including the
-// zero-point compensation terms:
-//   (a - za)(b - zb) summed over k
-//     = acc - za*colsum_b[j] - zb*rowsum_a[i] + k*za*zb.
-void requant_pass(std::int32_t* c, std::int64_t ldc, std::int64_t m,
-                  std::int64_t n, std::int64_t k, const QGemmRequant& rq,
-                  const std::int64_t* rowsum, const std::int64_t* colsum) {
-  const std::int64_t zz =
-      static_cast<std::int64_t>(rq.a_zero) * rq.b_zero * k;
-#ifdef QCAPS_X86_NATIVE
-  // The vector path reads each compensated accumulator from the low 32 bits
-  // of its lane (vpmuldq), which is exact only while |acc + base| < 2^31.
-  // Without bias that follows from the caller's no-wrap bound on the
-  // effective (zero-point-adjusted) operands; an arbitrary int32 bias can
-  // push past it, so bias rows take the scalar path.
-  const bool vector_rows = colsum == nullptr && rq.bias == nullptr &&
-                           (g_choice.tier == Isa::kAvx512 ||
-                            g_choice.tier == Isa::kAvx512Vnni);
-#endif
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (want_parallel(m * n))
-#endif
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t mult =
-        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
-    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
-    std::int64_t base = zz;
-    if (rq.bias) base += rq.bias[i];
-    if (rowsum) base -= static_cast<std::int64_t>(rq.b_zero) * rowsum[i];
-    std::int32_t* row = c + i * ldc;
-#ifdef QCAPS_X86_NATIVE
-    if (vector_rows) {
-      requant_row_avx512(row, n, base, mult, 30 + shift, rq.c_zero, rq.qmin,
-                         rq.qmax);
-      continue;
-    }
-#endif
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = row[j] + base;
-      if (colsum) acc -= static_cast<std::int64_t>(rq.a_zero) * colsum[j];
-      row[j] = requant_one(acc, mult, shift, rq.c_zero, rq.qmin, rq.qmax);
-    }
-  }
-}
-
-template <typename SrcT>
-void qgemm_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                std::int64_t k, const SrcT* a, std::int64_t lda, const SrcT* b,
-                std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
-                const QGemmRequant& rq) {
-  check_requant(rq);
-  check_requant_rows(rq, m);
-  qgemm_i32_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc,
-                 /*accumulate=*/false);
-  std::vector<std::int64_t> rowsum, colsum;
-  if (rq.b_zero != 0) rowsum = op_a_row_sums(ta, m, k, a, lda);
-  if (rq.a_zero != 0) colsum = op_b_col_sums(tb, k, n, b, ldb);
-  requant_pass(c, ldc, m, n, k, rq, rowsum.empty() ? nullptr : rowsum.data(),
-               colsum.empty() ? nullptr : colsum.data());
-}
-
-template <typename SrcT>
-void qgemm_batch_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                      std::int64_t k, const SrcT* a, std::int64_t lda,
-                      std::int64_t stride_a, const SrcT* b, std::int64_t ldb,
-                      std::int64_t stride_b, std::int32_t* c, std::int64_t ldc,
-                      std::int64_t stride_c, std::int64_t batch,
-                      const QGemmRequant& rq) {
-  if (batch <= 0) return;
-  check_requant(rq);
-  check_requant_rows(rq, m);
-#ifdef _OPENMP
-  if (batch > 1 && want_parallel(batch * m * n * k)) {
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < batch; ++i)
-      qgemm_impl(ta, tb, m, n, k, a + i * stride_a, lda, b + i * stride_b,
-                 ldb, c + i * stride_c, ldc, rq);
-    return;
-  }
-#endif
-  for (std::int64_t i = 0; i < batch; ++i)
-    qgemm_impl(ta, tb, m, n, k, a + i * stride_a, lda, b + i * stride_b, ldb,
-               c + i * stride_c, ldc, rq);
-}
-
-// ---- fused requantize + scatter epilogue -----------------------------------
 
 template <typename DstT>
 void check_scatter(const QGemmScatterTo<DstT>& sd, const QGemmRequant& rq) {
@@ -1075,26 +821,22 @@ void check_scatter(const QGemmScatterTo<DstT>& sd, const QGemmRequant& rq) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
-// One output row of the unit-multiplier requant (the only form the
-// quantized engine emits) into unit-stride runs: column j lands at
-// dst[(j / run) * run_stride + j % run]. Per element
-//   r = shift >= 1 ? (acc + 2^(shift-1)) >> shift : acc << -shift,
-// which equals requant_one's (acc * 2^30 + 2^(29+shift)) >> (30 + shift)
-// exactly. 8 accumulators per step in int64 lanes (an int32 accumulator
-// plus an int32 bias can leave int32), masked run tails instead of scalar
-// ones, and the range / rail hits recorded on the way.
+// requant_one over one output row into unit-stride runs: column j lands at
+// dst[(j / run) * run_stride + j % run]. 8 accumulators per step in int64
+// lanes (an int32 accumulator plus an int32 bias can leave int32), masked
+// run tails instead of scalar ones, and the range / rail hits recorded on
+// the way. GCC 12 emits -Wmaybe-uninitialized false positives from its own
+// AVX-512 intrinsic headers here (PR105593).
 template <typename DstT>
 __attribute__((target("avx512f"))) void requant_row_runs_avx512(
     const std::int32_t* src, std::int64_t n, std::int64_t run,
-    std::int64_t run_stride, std::int64_t base, int shift,
-    std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax,
-    std::int64_t rail_lo, std::int64_t rail_hi, DstT* dst,
+    std::int64_t run_stride, std::int64_t base, int shift, std::int32_t qmin,
+    std::int32_t qmax, std::int64_t rail_lo, std::int64_t rail_hi, DstT* dst,
     std::int64_t& max_abs, std::uint64_t& at_rail) {
   const __m512i vbase = _mm512_set1_epi64(
       base + (shift >= 1 ? (std::int64_t{1} << (shift - 1)) : 0));
   const __m128i vshr = _mm_cvtsi32_si128(shift > 0 ? shift : 0);
   const __m128i vshl = _mm_cvtsi32_si128(shift < 0 ? -shift : 0);
-  const __m512i vzero = _mm512_set1_epi64(c_zero);
   const __m512i vmin = _mm512_set1_epi64(qmin);
   const __m512i vmax = _mm512_set1_epi64(qmax);
   const __m512i vlo = _mm512_set1_epi64(rail_lo);
@@ -1113,7 +855,6 @@ __attribute__((target("avx512f"))) void requant_row_runs_avx512(
           _mm512_maskz_loadu_epi32(static_cast<__mmask16>(mk), s + j));
       __m512i v = _mm512_add_epi64(_mm512_cvtepi32_epi64(a32), vbase);
       v = shift >= 0 ? _mm512_sra_epi64(v, vshr) : _mm512_sll_epi64(v, vshl);
-      v = _mm512_add_epi64(v, vzero);
       v = _mm512_min_epi64(_mm512_max_epi64(v, vmin), vmax);
       vabs = _mm512_mask_max_epi64(vabs, mk, vabs, _mm512_abs_epi64(v));
       hits += static_cast<std::uint64_t>(__builtin_popcount(
@@ -1136,24 +877,20 @@ __attribute__((target("avx512f"))) void requant_row_runs_avx512(
 #pragma GCC diagnostic pop
 #endif  // QCAPS_X86_NATIVE
 
-// requant_pass, except each requantized element is converted to DstT and
-// written to the affine-scattered destination instead of back into C; the
-// range and rail hits of what was written accumulate into sd.stats.
+// Requantize the dense int32 accumulators c [m, n] (leading dimension ldc)
+// per `rq`, converting each element to DstT and writing it to the affine
+// scattered destination; the range and rail hits of what was written
+// accumulate into sd.stats.
 template <typename DstT>
 void requant_scatter_pass(const std::int32_t* c, std::int64_t ldc,
-                          std::int64_t m, std::int64_t n, std::int64_t k,
-                          const QGemmRequant& rq, const std::int64_t* rowsum,
-                          const std::int64_t* colsum,
+                          std::int64_t m, std::int64_t n,
+                          const QGemmRequant& rq,
                           const QGemmScatterTo<DstT>& sd, DstT* dst) {
-  const std::int64_t zz =
-      static_cast<std::int64_t>(rq.a_zero) * rq.b_zero * k;
   const std::int64_t rail_lo = sd.stats ? sd.stats->rail_lo : INT64_MIN;
   const std::int64_t rail_hi = sd.stats ? sd.stats->rail_hi : INT64_MAX;
 #ifdef QCAPS_X86_NATIVE
   const bool vector_runs =
-      sd.col_inner_stride == 1 && colsum == nullptr &&
-      rq.multiplier == kQGemmUnitMultiplier && rq.row_multipliers == nullptr &&
-      rq.row_shifts == nullptr &&
+      sd.col_inner_stride == 1 &&
       (g_choice.tier == Isa::kAvx512 || g_choice.tier == Isa::kAvx512Vnni);
 #endif
   std::int64_t max_abs = 0;
@@ -1163,20 +900,16 @@ void requant_scatter_pass(const std::int32_t* c, std::int64_t ldc,
     reduction(max : max_abs) reduction(+ : at_rail)
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t mult =
-        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
     const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
-    std::int64_t base = zz;
-    if (rq.bias) base += rq.bias[i];
-    if (rowsum) base -= static_cast<std::int64_t>(rq.b_zero) * rowsum[i];
+    const std::int64_t base = rq.bias ? rq.bias[i] : 0;
     const std::int32_t* row = c + i * ldc;
     DstT* drow = dst + (i / sd.row_inner) * sd.row_outer_stride +
                  (i % sd.row_inner) * sd.row_inner_stride;
 #ifdef QCAPS_X86_NATIVE
     if (vector_runs) {
       requant_row_runs_avx512(row, n, sd.col_inner, sd.col_outer_stride, base,
-                              shift, rq.c_zero, rq.qmin, rq.qmax, rail_lo,
-                              rail_hi, drow, max_abs, at_rail);
+                              shift, rq.qmin, rq.qmax, rail_lo, rail_hi, drow,
+                              max_abs, at_rail);
       continue;
     }
 #endif
@@ -1185,10 +918,8 @@ void requant_scatter_pass(const std::int32_t* c, std::int64_t ldc,
       DstT* dcol = drow + jo * sd.col_outer_stride;
       const std::int64_t ji_end = std::min(sd.col_inner, n - j);
       for (std::int64_t ji = 0; ji < ji_end; ++ji, ++j) {
-        std::int64_t acc = row[j] + base;
-        if (colsum) acc -= static_cast<std::int64_t>(rq.a_zero) * colsum[j];
-        const std::int32_t v =
-            requant_one(acc, mult, shift, rq.c_zero, rq.qmin, rq.qmax);
+        const std::int32_t v = requant_one(row[j] + base, shift, rq.qmin,
+                                           rq.qmax);
         dcol[ji * sd.col_inner_stride] = static_cast<DstT>(v);
         max_abs = std::max<std::int64_t>(max_abs, v < 0 ? -std::int64_t{v} : v);
         at_rail += (v <= rail_lo || v >= rail_hi) ? 1 : 0;
@@ -1212,27 +943,54 @@ void qgemm_scatter_one(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
   thread_local std::vector<std::int32_t> cbuf;
   if (cbuf.size() < static_cast<std::size_t>(m * n))
     cbuf.resize(static_cast<std::size_t>(m * n));
-  qgemm_i32_impl(ta, tb, m, n, k, a, lda, b, ldb, cbuf.data(), n,
-                 /*accumulate=*/false);
-  std::vector<std::int64_t> rowsum, colsum;
-  if (rq.b_zero != 0) rowsum = op_a_row_sums(ta, m, k, a, lda);
-  if (rq.a_zero != 0) colsum = op_b_col_sums(tb, k, n, b, ldb);
-  requant_scatter_pass(cbuf.data(), n, m, n, k, rq,
-                       rowsum.empty() ? nullptr : rowsum.data(),
-                       colsum.empty() ? nullptr : colsum.data(), sd, dst);
+  qgemm_i32(ta, tb, m, n, k, a, lda, b, ldb, cbuf.data(), n);
+  requant_scatter_pass(cbuf.data(), n, m, n, rq, sd, dst);
+}
+
+// The dense row-major C of qgemm / qgemm_batch as a scatter destination:
+// each output row is one unit-stride run.
+QGemmScatterTo<std::int32_t> dense_to(std::int32_t* c, std::int64_t n,
+                                      std::int64_t ldc,
+                                      std::int64_t stride_c) {
+  QGemmScatterTo<std::int32_t> sd;
+  sd.dst = c;
+  sd.row_outer_stride = ldc;
+  sd.col_inner = std::max<std::int64_t>(n, 1);
+  sd.col_inner_stride = 1;
+  sd.batch_stride = stride_c;
+  return sd;
+}
+
+}  // namespace
+
+std::int32_t qgemm_requantize(std::int64_t acc, const QGemmRequant& rq) {
+  check_requant(rq, 0);
+  return requant_one(acc, rq.shift, rq.qmin, rq.qmax);
+}
+
+std::int64_t qgemm_max_k(int bits_a, int bits_b) {
+  QCAPS_CHECK(bits_a >= 2 && bits_b >= 2 && bits_a + bits_b <= 33);
+  // |a| <= 2^(bits_a - 1), |b| <= 2^(bits_b - 1).
+  return ((std::int64_t{1} << 31) - 1) >> (bits_a + bits_b - 2);
 }
 
 template <typename SrcT, typename DstT>
-void qgemm_batch_scatter_impl(Trans ta, Trans tb, std::int64_t m,
-                              std::int64_t n, std::int64_t k, const SrcT* a,
-                              std::int64_t lda, std::int64_t stride_a,
-                              const SrcT* b, std::int64_t ldb,
-                              std::int64_t stride_b, std::int64_t batch,
-                              const QGemmRequant& rq,
-                              const QGemmScatterTo<DstT>& sd) {
+void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                         std::int64_t k, const SrcT* a, std::int64_t lda,
+                         std::int64_t stride_a, const SrcT* b,
+                         std::int64_t ldb, std::int64_t stride_b,
+                         std::int64_t batch, const QGemmRequant& rq,
+                         const QGemmScatterTo<DstT>& sd) {
+  static_assert(std::is_same_v<SrcT, std::int8_t> ||
+                    std::is_same_v<SrcT, std::int16_t>,
+                "qgemm operands are int8 or int16");
+  // int8 operands are full-range by contract; int16 callers bound theirs
+  // (see qgemm_max_k).
+  if constexpr (std::is_same_v<SrcT, std::int8_t>)
+    QCAPS_CHECK_MSG(k <= qgemm_max_k(8, 8),
+                    "qgemm int8 K too large for exact int32 accumulation");
   if (batch <= 0) return;
-  check_requant(rq);
-  check_requant_rows(rq, m);
+  check_requant(rq, m);
   check_scatter(sd, rq);
 #ifdef _OPENMP
   if (batch > 1 && want_parallel(batch * m * n * k)) {
@@ -1265,78 +1023,6 @@ void qgemm_batch_scatter_impl(Trans ta, Trans tb, std::int64_t m,
                       sd.dst + i * sd.batch_stride);
 }
 
-void check_k_bound_s8(std::int64_t k, const QGemmRequant* rq) {
-  const int bits_a = 8 + (rq && rq->a_zero != 0 ? 1 : 0);
-  const int bits_b = 8 + (rq && rq->b_zero != 0 ? 1 : 0);
-  QCAPS_CHECK_MSG(k <= qgemm_max_k(bits_a, bits_b),
-                  "qgemm int8 K too large for exact int32 accumulation");
-}
-
-}  // namespace
-
-std::int32_t qgemm_requantize(std::int64_t acc, const QGemmRequant& rq) {
-  check_requant(rq);
-  return requant_one(acc, rq.multiplier, rq.shift, rq.c_zero, rq.qmin,
-                     rq.qmax);
-}
-
-std::int64_t qgemm_max_k(int bits_a, int bits_b) {
-  QCAPS_CHECK(bits_a >= 2 && bits_b >= 2 && bits_a + bits_b <= 33);
-  // |a| <= 2^(bits_a - 1), |b| <= 2^(bits_b - 1).
-  return ((std::int64_t{1} << 31) - 1) >> (bits_a + bits_b - 2);
-}
-
-void qgemm_i32(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::int8_t* a, std::int64_t lda,
-               const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
-               std::int64_t ldc, bool accumulate) {
-  check_k_bound_s8(k, nullptr);
-  qgemm_i32_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
-}
-
-void qgemm_i32(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::int16_t* a, std::int64_t lda,
-               const std::int16_t* b, std::int64_t ldb, std::int32_t* c,
-               std::int64_t ldc, bool accumulate) {
-  qgemm_i32_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
-}
-
-void qgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-           const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-           std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
-           const QGemmRequant& rq) {
-  check_k_bound_s8(k, &rq);
-  qgemm_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, rq);
-}
-
-void qgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-           const std::int16_t* a, std::int64_t lda, const std::int16_t* b,
-           std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
-           const QGemmRequant& rq) {
-  qgemm_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, rq);
-}
-
-void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                 std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                 std::int64_t stride_a, const std::int8_t* b, std::int64_t ldb,
-                 std::int64_t stride_b, std::int32_t* c, std::int64_t ldc,
-                 std::int64_t stride_c, std::int64_t batch,
-                 const QGemmRequant& rq) {
-  check_k_bound_s8(k, &rq);
-  qgemm_batch_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb, stride_b, c,
-                   ldc, stride_c, batch, rq);
-}
-
-void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                 std::int64_t k, const std::int16_t* a, std::int64_t lda,
-                 std::int64_t stride_a, const std::int16_t* b,
-                 std::int64_t ldb, std::int64_t stride_b, std::int32_t* c,
-                 std::int64_t ldc, std::int64_t stride_c, std::int64_t batch,
-                 const QGemmRequant& rq) {
-  qgemm_batch_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb, stride_b, c,
-                   ldc, stride_c, batch, rq);
-}
-
 template <typename SrcT, typename DstT>
 void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                    std::int64_t k, const SrcT* a, std::int64_t lda,
@@ -1345,19 +1031,40 @@ void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
   qgemm_batch_scatter(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq, sd);
 }
 
-template <typename SrcT, typename DstT>
-void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                         std::int64_t k, const SrcT* a, std::int64_t lda,
-                         std::int64_t stride_a, const SrcT* b,
-                         std::int64_t ldb, std::int64_t stride_b,
-                         std::int64_t batch, const QGemmRequant& rq,
-                         const QGemmScatterTo<DstT>& sd) {
-  static_assert(std::is_same_v<SrcT, std::int8_t> ||
-                    std::is_same_v<SrcT, std::int16_t>,
-                "qgemm operands are int8 or int16");
-  if constexpr (std::is_same_v<SrcT, std::int8_t>) check_k_bound_s8(k, &rq);
-  qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb,
-                           stride_b, batch, rq, sd);
+void qgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
+           const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
+           std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
+           const QGemmRequant& rq) {
+  qgemm_batch_scatter(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq,
+                      dense_to(c, n, ldc, 0));
+}
+
+void qgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
+           const std::int16_t* a, std::int64_t lda, const std::int16_t* b,
+           std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
+           const QGemmRequant& rq) {
+  qgemm_batch_scatter(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq,
+                      dense_to(c, n, ldc, 0));
+}
+
+void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                 std::int64_t k, const std::int8_t* a, std::int64_t lda,
+                 std::int64_t stride_a, const std::int8_t* b, std::int64_t ldb,
+                 std::int64_t stride_b, std::int32_t* c, std::int64_t ldc,
+                 std::int64_t stride_c, std::int64_t batch,
+                 const QGemmRequant& rq) {
+  qgemm_batch_scatter(ta, tb, m, n, k, a, lda, stride_a, b, ldb, stride_b,
+                      batch, rq, dense_to(c, n, ldc, stride_c));
+}
+
+void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                 std::int64_t k, const std::int16_t* a, std::int64_t lda,
+                 std::int64_t stride_a, const std::int16_t* b,
+                 std::int64_t ldb, std::int64_t stride_b, std::int32_t* c,
+                 std::int64_t ldc, std::int64_t stride_c, std::int64_t batch,
+                 const QGemmRequant& rq) {
+  qgemm_batch_scatter(ta, tb, m, n, k, a, lda, stride_a, b, ldb, stride_b,
+                      batch, rq, dense_to(c, n, ldc, stride_c));
 }
 
 #define QCAPS_QGEMM_SCATTER(SrcT, DstT)                                       \

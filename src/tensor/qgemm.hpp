@@ -1,6 +1,11 @@
 // Blocked, packed, register-tiled integer GEMM backend for the quantized
-// engine: int8 (or int16) operands, exact int32 accumulation, and an optional
-// fused requantization stage.
+// engine: int8 (or int16) operands, exact int32 accumulation, and a fused
+// requantization epilogue.
+//
+// Every entry point runs one pipeline: one blocked driver accumulates the
+// product into a dense int32 block, then one epilogue requantizes it (see
+// QGemmRequant) and writes each element, converted, to a dense C or to an
+// affine-scattered destination (see QGemmScatterTo).
 //
 // The kernel reuses the GotoBLAS/BLIS decomposition of the float backend in
 // gemm.{hpp,cpp}: N is walked in blocks of NC, K in blocks of KC, M in blocks
@@ -46,62 +51,34 @@ namespace qcaps::tensor {
 inline constexpr std::int64_t kQGemmMR = 6;
 inline constexpr std::int64_t kQGemmNR = 16;
 
-/// The multiplier value that makes the requantization scale an exact power
-/// of two: with multiplier == kQGemmUnitMultiplier the rescale is
-/// out = round_half_up(acc / 2^shift), bit-identical to
-/// hwmodel::rescale_raw(acc, from_qf, out_fmt, kRoundToNearest) with
-/// shift = from_qf - out_fmt.qf.
-inline constexpr std::int32_t kQGemmUnitMultiplier = std::int32_t{1} << 30;
-
-/// Requantization of raw int32 accumulators onto a narrower integer grid.
+/// Requantization of raw int32 accumulators onto a narrower fixed-point
+/// grid. Every Q-CapsNets format is a power-of-two scaled word (Qm.n), so
+/// the rescale is a shift, a round and a clamp. Per output element of row i:
 ///
-/// Effective operand values are (stored - zero_point): a_zero/b_zero are
-/// subtracted via rowsum/colsum compensation outside the kernel, so the
-/// packed panels always hold the stored bytes. Per output element:
+///   out = clamp(round_half_up((acc + bias[i]) / 2^s_i), qmin, qmax)
 ///
-///   acc' = acc + comp(a_zero, b_zero) + bias[i]
-///   out  = clamp(round_half_up(acc' * M_i / 2^(30 + s_i)) + c_zero,
-///                qmin, qmax)
-///
-/// where M_i/s_i are `multiplier`/`shift`, or the per-row overrides when
-/// `row_multipliers`/`row_shifts` are set (per-channel weight scales).
-/// round_half_up is floor(x + 1/2) — the same convention as
-/// fixed::RoundingScheme::kRoundToNearest and hwmodel::rescale_raw, so for
-/// power-of-two scales the whole path is bit-identical to the fixed-point
-/// rescale applied to the exact int32 product.
+/// where s_i is row_shifts[i] when set (per-channel weight formats), else
+/// `shift`; a negative shift is an exact left shift. round_half_up is
+/// floor(x + 1/2), the convention of fixed::RoundingScheme::kRoundToNearest,
+/// so with shift = from_qf - out_fmt.qf the result is bit-identical to
+/// hwmodel::rescale_raw(acc + bias[i], from_qf, out_fmt, kRoundToNearest).
 struct QGemmRequant {
-  std::int32_t multiplier = kQGemmUnitMultiplier;  ///< positive, Q2.30 scale
-  int shift = 0;              ///< extra right shift; negative shifts left
-  std::int32_t c_zero = 0;    ///< output zero point, added after scaling
-  std::int32_t a_zero = 0;    ///< input zero points: value = stored - zero
-  std::int32_t b_zero = 0;
+  int shift = 0;                  ///< in [-30, 31]; negative shifts left
   std::int32_t qmin = INT32_MIN;  ///< saturation bounds of the output grid
   std::int32_t qmax = INT32_MAX;
-  const std::int32_t* row_multipliers = nullptr;  ///< optional, length m
-  const int* row_shifts = nullptr;                ///< optional, length m
+  const int* row_shifts = nullptr;     ///< optional per-row shift, length m
   const std::int32_t* bias = nullptr;  ///< optional per-row int32 bias at
                                        ///< accumulator scale, length m
 };
 
-/// Requantize a single raw accumulator with `rq` (using the per-tensor
-/// multiplier/shift) — the exact scalar applied to every output element.
-/// Zero-point compensation and bias are not included; pass them in `acc`.
+/// Requantize a single raw accumulator with `rq`'s per-tensor shift and
+/// rails: the exact scalar applied to every output element. Bias is not
+/// included; pass it in `acc`.
 std::int32_t qgemm_requantize(std::int64_t acc, const QGemmRequant& rq);
 
 /// Largest K for which exact int32 accumulation of products of operands with
 /// the given significant bit widths (including sign) cannot wrap.
 std::int64_t qgemm_max_k(int bits_a, int bits_b);
-
-/// C[m,n] (+)= op(A)[m,k] * op(B)[k,n], raw int32 accumulation, no requant.
-/// accumulate=false overwrites C, accumulate=true adds into it.
-void qgemm_i32(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::int8_t* a, std::int64_t lda,
-               const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
-               std::int64_t ldc, bool accumulate);
-void qgemm_i32(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::int16_t* a, std::int64_t lda,
-               const std::int16_t* b, std::int64_t ldb, std::int32_t* c,
-               std::int64_t ldc, bool accumulate);
 
 /// C[m,n] = requant(op(A)[m,k] * op(B)[k,n]) per `rq`.
 void qgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
@@ -169,7 +146,6 @@ struct QGemmScatterTo {
   std::int64_t batch_stride = 0;  ///< dst advance per qgemm_batch_scatter item
   QGemmOutStats* stats = nullptr;  ///< optional: range and rail hits written
 };
-using QGemmScatterDst = QGemmScatterTo<std::int64_t>;
 
 /// Scattered variant of qgemm: requant(op(A)[m,k] * op(B)[k,n]) per `rq`,
 /// each element written straight to `sd` (see QGemmScatterTo) instead of a

@@ -36,24 +36,6 @@ QTensor random_q(common::Rng& rng, tensor::Shape shape, fixed::FixedFormat fmt,
       fmt);
 }
 
-// The pre-qgemm scalar matmul: int64 accumulate + per-element rescale_raw.
-QTensor matmul_ref(const QTensor& a, const QTensor& b,
-                   fixed::FixedFormat out_fmt, fixed::RoundingScheme scheme) {
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  const int acc_qf = a.fmt.qf + b.fmt.qf;
-  QTensor out({m, n}, out_fmt);
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p)
-        acc += a.raw[static_cast<std::size_t>(i * k + p)] *
-               b.raw[static_cast<std::size_t>(p * n + j)];
-      out.raw[static_cast<std::size_t>(i * n + j)] =
-          hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
-    }
-  return out;
-}
-
 // The legacy vote product exactly as the ShallowCaps integer deployment
 // computed it before the qgemm rewire: scalar int64 loops + rescale_raw. Kept
 // verbatim as the regression oracle for the new qgemm_batch path.
@@ -278,63 +260,6 @@ TEST(QEngineRouting, AgreementSelectsSameWinnerAsFloat) {
 
 // ---- qgemm-backed operators --------------------------------------------------
 
-TEST(QEngineMatmul, BitIdenticalToScalarReferenceOnInt8Tier) {
-  // Narrow formats: both operands fit the packed int8 container, so the
-  // qgemm fast path runs — and must equal the rescale_raw reference exactly.
-  common::Rng rng(30);
-  const fixed::FixedFormat fa(2, 6), fb(1, 7), out(4, 8);
-  const QTensor a = random_q(rng, {9, 11}, fa, 1.9f);
-  const QTensor b = random_q(rng, {11, 13}, fb, 0.9f);
-  const QTensor got = matmul(a, b, out);
-  const QTensor want =
-      matmul_ref(a, b, out, fixed::RoundingScheme::kRoundToNearest);
-  ASSERT_EQ(got.shape, want.shape);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
-}
-
-TEST(QEngineMatmul, BitIdenticalOnInt16TierWideFormats) {
-  // Q8.8-style wide formats whose values exceed int8 raw range: the int16
-  // tier carries them, still bit-identical.
-  common::Rng rng(31);
-  const fixed::FixedFormat fa(8, 8), fb(8, 8), out(10, 6);
-  const QTensor a = random_q(rng, {7, 10}, fa, 60.0f);  // raw up to ~15360
-  const QTensor b = random_q(rng, {10, 8}, fb, 0.9f);
-  ASSERT_FALSE(a.fits_i8());  // really exercises the int16 tier
-  ASSERT_TRUE(a.fits_i16());
-  const QTensor got = matmul(a, b, out);
-  const QTensor want =
-      matmul_ref(a, b, out, fixed::RoundingScheme::kRoundToNearest);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
-}
-
-TEST(QEngineMatmul, WideValuesFallBackExactly) {
-  // Values beyond the int16 container (25-bit raws) take the int64 scalar
-  // path; the result is still exact integer arithmetic.
-  common::Rng rng(32);
-  const fixed::FixedFormat wide(18, 7), fb(2, 7), out(20, 4);
-  QTensor a({3, 5}, wide);
-  for (auto& v : a.raw)
-    v = static_cast<std::int64_t>(rng.uniform_index(1 << 25)) - (1 << 24);
-  const QTensor b = random_q(rng, {5, 4}, fb, 1.5f);
-  const QTensor got = matmul(a, b, out);
-  const QTensor want =
-      matmul_ref(a, b, out, fixed::RoundingScheme::kRoundToNearest);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
-}
-
-TEST(QEngineMatmul, RejectsValuesThatWouldWrapInt64) {
-  // The scalar fallback is exact only while k * |a| * |b| fits int64;
-  // oversized raws must throw instead of silently wrapping.
-  const fixed::FixedFormat huge(40, 10);
-  QTensor a({2, 4}, huge), b({4, 3}, huge);
-  for (auto& v : a.raw) v = std::int64_t{1} << 31;
-  for (auto& v : b.raw) v = std::int64_t{1} << 31;
-  EXPECT_THROW(matmul(a, b, fixed::FixedFormat(40, 4)), qcaps::Error);
-}
-
 TEST(QEngineVotes, WeightCacheMatchesUncachedPath) {
   // The packed-weight cache a compiled graph keeps must be a pure
   // optimization: identical votes with and without it, on both tiers.
@@ -354,18 +279,6 @@ TEST(QEngineVotes, WeightCacheMatchesUncachedPath) {
   };
   check(u8, w8t);
   check(u16, w16t);
-}
-
-TEST(QEngineMatmul, TruncationSchemeUsesExactScalarPath) {
-  common::Rng rng(33);
-  const fixed::FixedFormat fa(2, 6), fb(2, 6), out(3, 4);
-  const QTensor a = random_q(rng, {6, 9}, fa, 1.8f);
-  const QTensor b = random_q(rng, {9, 7}, fb, 1.8f);
-  const QTensor got = matmul(a, b, out, fixed::RoundingScheme::kTruncation);
-  const QTensor want =
-      matmul_ref(a, b, out, fixed::RoundingScheme::kTruncation);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
 }
 
 TEST(QEngineVotes, QGemmPathIdenticalToLegacyLoopAtQ88) {

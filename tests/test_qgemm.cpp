@@ -4,8 +4,8 @@
 // (testutil::qgemm_naive) bit for bit — for every supported microkernel tier
 // (scalar / AVX2 / AVX-512), all four transpose variants, edge shapes that
 // exercise partial register tiles and cache-block boundaries, strided
-// batches, saturation-boundary inputs, zero points at the extremes, per-row
-// requantization, and any thread count. Mirrors tests/test_gemm.cpp for the
+// batches, saturation-boundary inputs, shifts at the extremes, per-row
+// shifts and bias, and any thread count. Mirrors tests/test_gemm.cpp for the
 // float backend.
 #include <gtest/gtest.h>
 
@@ -29,11 +29,12 @@ namespace {
 
 using testutil::qgemm_acc_naive;
 using testutil::qgemm_naive;
-using testutil::requant_naive;
 
 // Shapes chosen to hit the microkernel edge cases: 1x1, m/n/k = 1, odd K
-// (the packed K-pair tail), tails not divisible by the 6x16 tile, and one
-// shape crossing every cache-block boundary (MC=96, KC=256, NC=1024).
+// (the packed K-pair tail), tails not divisible by the 6x16 tile, one
+// shape crossing every cache-block boundary (MC=96, KC=256, NC=1024), and
+// one whose second K block ends in a tail that is neither a whole K pair
+// nor a whole K quad (k = 256 + 253).
 struct Mkn {
   std::int64_t m, k, n;
 };
@@ -41,6 +42,7 @@ const Mkn kShapes[] = {
     {1, 1, 1},   {1, 7, 1},   {1, 1, 9},    {5, 1, 3},
     {6, 16, 16}, {7, 13, 17}, {13, 29, 31}, {96, 64, 48},
     {97, 33, 65} /* one past MC */, {100, 300, 1040} /* crosses MC/KC/NC */,
+    {13, 509, 70} /* K tail in the second K block */,
 };
 
 std::vector<std::int8_t> random_i8(common::Rng& rng, std::int64_t n) {
@@ -99,6 +101,9 @@ class QGemmAllKernels : public ::testing::TestWithParam<Isa> {
   void TearDown() override { qgemm_reset_kernel(); }
 };
 
+// The identity requant (shift 0, int32 rails) writes the raw accumulators.
+const QGemmRequant kRaw{};
+
 TEST_P(QGemmAllKernels, AllTransposeVariantsBitExactI32) {
   common::Rng rng(21);
   for (const Mkn& s : kShapes) {
@@ -112,23 +117,23 @@ TEST_P(QGemmAllKernels, AllTransposeVariantsBitExactI32) {
                                       a.data(), s.k, b.data(), s.n);
     std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
 
-    qgemm_i32(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(),
-              s.n, c.data(), s.n, false);
+    qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
+          c.data(), s.n, kRaw);
     for (std::size_t i = 0; i < c.size(); ++i)
       ASSERT_EQ(c[i], want[i]) << "NN flat " << i;
 
-    qgemm_i32(Trans::kT, Trans::kN, s.m, s.n, s.k, at.data(), s.m, b.data(),
-              s.n, c.data(), s.n, false);
+    qgemm(Trans::kT, Trans::kN, s.m, s.n, s.k, at.data(), s.m, b.data(), s.n,
+          c.data(), s.n, kRaw);
     for (std::size_t i = 0; i < c.size(); ++i)
       ASSERT_EQ(c[i], want[i]) << "TN flat " << i;
 
-    qgemm_i32(Trans::kN, Trans::kT, s.m, s.n, s.k, a.data(), s.k, bt.data(),
-              s.k, c.data(), s.n, false);
+    qgemm(Trans::kN, Trans::kT, s.m, s.n, s.k, a.data(), s.k, bt.data(), s.k,
+          c.data(), s.n, kRaw);
     for (std::size_t i = 0; i < c.size(); ++i)
       ASSERT_EQ(c[i], want[i]) << "NT flat " << i;
 
-    qgemm_i32(Trans::kT, Trans::kT, s.m, s.n, s.k, at.data(), s.m, bt.data(),
-              s.k, c.data(), s.n, false);
+    qgemm(Trans::kT, Trans::kT, s.m, s.n, s.k, at.data(), s.m, bt.data(), s.k,
+          c.data(), s.n, kRaw);
     for (std::size_t i = 0; i < c.size(); ++i)
       ASSERT_EQ(c[i], want[i]) << "TT flat " << i;
   }
@@ -143,11 +148,8 @@ TEST_P(QGemmAllKernels, RequantizedOutputBitExact) {
     const auto a = random_i8(rng, s.m * s.k);
     const auto b = random_i8(rng, s.k * s.n);
     QGemmRequant rq;
-    // Random non-power-of-two multiplier in [2^29, 2^30), random shift.
-    rq.multiplier = static_cast<std::int32_t>(
-        (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
-    rq.shift = static_cast<int>(rng.uniform_index(9));
-    rq.c_zero = static_cast<std::int32_t>(rng.uniform_index(17)) - 8;
+    // Random shift in [-2, 10]: left shifts, no shift and right shifts.
+    rq.shift = static_cast<int>(rng.uniform_index(13)) - 2;
     rq.qmin = -128;
     rq.qmax = 127;
     const auto want = qgemm_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
@@ -190,29 +192,31 @@ TEST_P(QGemmAllKernels, SaturationBoundaryInputs) {
   EXPECT_TRUE(clipped_hi) << "test vectors never hit qmax";
 }
 
-TEST_P(QGemmAllKernels, ZeroPointsAtExtremes) {
+TEST_P(QGemmAllKernels, ShiftsAtExtremes) {
+  // The whole accepted shift range [-30, 31]: exact left shifts that hit the
+  // rails, no shift, rounding right shifts, and a shift past every
+  // accumulator bit (everything rounds to 0).
   common::Rng rng(23);
   const std::int64_t m = 11, k = 23, n = 19;
   const auto a = random_i8(rng, m * k);
   const auto b = random_i8(rng, k * n);
-  for (const int za : {-128, 0, 127}) {
-    for (const int zb : {-128, 1, 127}) {
-      SCOPED_TRACE(::testing::Message() << "za=" << za << " zb=" << zb);
-      QGemmRequant rq;
-      rq.a_zero = za;
-      rq.b_zero = zb;
-      rq.shift = 4;
-      rq.c_zero = -3;
-      rq.qmin = -(std::int32_t{1} << 20);
-      rq.qmax = (std::int32_t{1} << 20) - 1;
-      const auto want = qgemm_naive(Trans::kN, Trans::kT, m, n, k, a.data(),
-                                    k, b.data(), k, rq);
-      std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-      qgemm(Trans::kN, Trans::kT, m, n, k, a.data(), k, b.data(), k, c.data(),
-            n, rq);
-      for (std::size_t i = 0; i < c.size(); ++i)
-        ASSERT_EQ(c[i], want[i]) << "flat " << i;
-    }
+  std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
+  for (auto& v : bias)
+    v = static_cast<std::int32_t>(rng.uniform_index(2001)) - 1000;
+  for (const int shift : {-30, -3, 0, 1, 4, 17, 31}) {
+    SCOPED_TRACE(::testing::Message() << "shift=" << shift);
+    QGemmRequant rq;
+    rq.shift = shift;
+    rq.bias = bias.data();
+    rq.qmin = -(std::int32_t{1} << 20);
+    rq.qmax = (std::int32_t{1} << 20) - 1;
+    const auto want = qgemm_naive(Trans::kN, Trans::kT, m, n, k, a.data(), k,
+                                  b.data(), k, rq);
+    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+    qgemm(Trans::kN, Trans::kT, m, n, k, a.data(), k, b.data(), k, c.data(), n,
+          rq);
+    for (std::size_t i = 0; i < c.size(); ++i)
+      ASSERT_EQ(c[i], want[i]) << "flat " << i;
   }
 }
 
@@ -221,18 +225,15 @@ TEST_P(QGemmAllKernels, PerRowRequantAndBias) {
   const std::int64_t m = 13, k = 29, n = 31;
   const auto a = random_i8(rng, m * k);
   const auto b = random_i8(rng, k * n);
-  std::vector<std::int32_t> mult(static_cast<std::size_t>(m));
   std::vector<int> shift(static_cast<std::size_t>(m));
   std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
-    mult[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-        (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
-    shift[static_cast<std::size_t>(i)] = static_cast<int>(rng.uniform_index(7));
+    shift[static_cast<std::size_t>(i)] =
+        static_cast<int>(rng.uniform_index(10)) - 2;
     bias[static_cast<std::size_t>(i)] =
         static_cast<std::int32_t>(rng.uniform_index(4001)) - 2000;
   }
   QGemmRequant rq;
-  rq.row_multipliers = mult.data();
   rq.row_shifts = shift.data();
   rq.bias = bias.data();
   rq.qmin = -128;
@@ -278,7 +279,7 @@ TEST_P(QGemmAllKernels, Int16OperandsBitExact) {
   // activations); same kernel, wider packed source.
   common::Rng rng(25);
   for (const Mkn& s : {Mkn{1, 1, 1}, Mkn{5, 1, 3}, Mkn{7, 13, 17},
-                       Mkn{97, 33, 65}}) {
+                       Mkn{97, 33, 65}, Mkn{13, 509, 70}}) {
     SCOPED_TRACE(::testing::Message()
                  << "m=" << s.m << " k=" << s.k << " n=" << s.n);
     // Bound 2048 keeps k * |a| * |b| below 2^31 for every tested shape.
@@ -287,8 +288,8 @@ TEST_P(QGemmAllKernels, Int16OperandsBitExact) {
     const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
                                       a.data(), s.k, b.data(), s.n);
     std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
-    qgemm_i32(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(),
-              s.n, c.data(), s.n, false);
+    qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
+          c.data(), s.n, kRaw);
     for (std::size_t i = 0; i < c.size(); ++i)
       ASSERT_EQ(c[i], want[i]) << "flat " << i;
 
@@ -305,32 +306,19 @@ TEST_P(QGemmAllKernels, Int16OperandsBitExact) {
   }
 }
 
-TEST_P(QGemmAllKernels, AccumulateAddsIntoC) {
-  common::Rng rng(26);
-  const std::int64_t m = 7, k = 13, n = 17;
-  const auto a = random_i8(rng, m * k);
-  const auto b = random_i8(rng, k * n);
-  const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, m, n, k, a.data(),
-                                    k, b.data(), n);
-  std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-  for (std::size_t i = 0; i < c.size(); ++i)
-    c[i] = static_cast<std::int32_t>(rng.uniform_index(2001)) - 1000;
-  const std::vector<std::int32_t> base = c;
-  qgemm_i32(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(),
-            n, /*accumulate=*/true);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    ASSERT_EQ(c[i], base[i] + want[i]) << "flat " << i;
-}
-
-TEST_P(QGemmAllKernels, KZeroZeroesOrKeepsC) {
+TEST_P(QGemmAllKernels, KZeroRequantizesTheBias) {
+  // An empty contraction accumulates zero: C is the requantized bias.
   std::vector<std::int32_t> c = {1, 2, 3, 4, 5, 6};
   const std::int8_t dummy = 0;
-  qgemm_i32(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
-            /*accumulate=*/true);
-  EXPECT_EQ(c[0], 1);
-  qgemm_i32(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
-            /*accumulate=*/false);
+  qgemm(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
+        kRaw);
   for (const auto v : c) EXPECT_EQ(v, 0);
+  const std::vector<std::int32_t> bias = {-24, 40};
+  QGemmRequant rq;
+  rq.shift = 4;
+  rq.bias = bias.data();
+  qgemm(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3, rq);
+  EXPECT_EQ(c, (std::vector<std::int32_t>{-1, -1, -1, 3, 3, 3}));
 }
 
 TEST_P(QGemmAllKernels, StridedBatchInterleavedLikeCapsuleVotes) {
@@ -379,11 +367,7 @@ TEST_P(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
   const auto a = random_i8(rng, m * k);
   const auto b = random_i8(rng, k * n);
   QGemmRequant rq;
-  rq.multiplier = (std::int32_t{1} << 29) + 54321;
   rq.shift = 5;
-  rq.c_zero = 2;
-  rq.a_zero = -7;
-  rq.b_zero = 3;
   rq.qmin = -128;
   rq.qmax = 127;
   const auto want =
@@ -394,7 +378,7 @@ TEST_P(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
   {
     std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n),
                                   std::int64_t{-999});
-    QGemmScatterDst sd;
+    QGemmScatterTo<std::int64_t> sd;
     sd.dst = dst.data();
     sd.row_inner = 1;
     sd.row_outer_stride = 1;
@@ -416,7 +400,7 @@ TEST_P(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
   {
     std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n),
                                   std::int64_t{-999});
-    QGemmScatterDst sd;
+    QGemmScatterTo<std::int64_t> sd;
     sd.dst = dst.data();
     sd.row_inner = 3;
     sd.row_outer_stride = 1;
@@ -435,11 +419,10 @@ TEST_P(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
 }
 
 // The epilogue writes any integer container and records what it wrote:
-// int8/int16/int32/int64 destinations in conv-style unit-stride runs, for
-// the unit multiplier (the vector path on the AVX-512 tiers) and a general
-// one with zero points (the scalar path). Values match the naive oracle;
-// max |value| and the rail hits match a scan of it, accumulated across the
-// items of a batch.
+// int8/int16/int32/int64 destinations in conv-style unit-stride runs (the
+// vector run path on the AVX-512 tiers), for one shift and for per-row
+// shifts. Values match the naive oracle; max |value| and the rail hits
+// match a scan of it, accumulated across the items of a batch.
 template <typename DstT>
 void check_narrow_scatter(const QGemmRequant& rq, std::int64_t m,
                           std::int64_t n, std::int64_t k, std::int64_t run,
@@ -487,16 +470,17 @@ void check_narrow_scatter(const QGemmRequant& rq, std::int64_t m,
 
 TEST_P(QGemmAllKernels, ScatterWritesNarrowContainersAndRecordsRange) {
   common::Rng rng(33);
-  QGemmRequant unit;
-  unit.shift = 6;
-  unit.qmin = -100;
-  unit.qmax = 90;
+  QGemmRequant one;
+  one.shift = 6;
+  one.qmin = -100;
+  one.qmax = 90;
   std::vector<std::int32_t> bias = {-700, 0, 350, 1 << 20, -(1 << 20), 5, 9};
-  unit.bias = bias.data();
-  QGemmRequant general = unit;
-  general.multiplier = (std::int32_t{1} << 29) + 777;
-  general.a_zero = 2;
-  for (const QGemmRequant& rq : {unit, general}) {
+  one.bias = bias.data();
+  QGemmRequant per_row = one;
+  // Per-row shifts (the per-channel weight format seam): left, none, right.
+  std::vector<int> shifts = {6, -2, 0, 9, 3, 1, 31};
+  per_row.row_shifts = shifts.data();
+  for (const QGemmRequant& rq : {one, per_row}) {
     check_narrow_scatter<std::int8_t>(rq, 7, 37, 19, 13, rng);
     check_narrow_scatter<std::int16_t>(rq, 7, 40, 19, 20, rng);
     check_narrow_scatter<std::int32_t>(rq, 7, 33, 19, 3, rng);
@@ -529,7 +513,7 @@ TEST_P(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
   rq.qmax = 511;
   std::vector<std::int64_t> votes(
       static_cast<std::size_t>(bsz * nout * nin * dout), std::int64_t{-999});
-  QGemmScatterDst sd;
+  QGemmScatterTo<std::int64_t> sd;
   sd.dst = votes.data();
   sd.batch_stride = dout;
   sd.row_inner = 1;
@@ -563,7 +547,7 @@ INSTANTIATE_TEST_SUITE_P(Kernels, QGemmAllKernels,
                          [](const auto& info) { return isa_name(info.param); });
 
 TEST(QGemmRequantize, MatchesRescaleRawOnExactProducts) {
-  // Unit multiplier + shift is the fixed-point rescale: bit-identical to
+  // The shift requant is the fixed-point rescale: bit-identical to
   // hwmodel::rescale_raw(acc, from_qf, out_fmt, kRoundToNearest), including
   // negative accumulators, rounding ties, and saturation.
   const fixed::FixedFormat out(3, 4);
@@ -595,7 +579,7 @@ TEST(QGemmRequantize, NegativeShiftIsExactLeftShift) {
 TEST(QGemmMaxK, BoundsMatchAccumulatorWidth) {
   // 8-bit operands: k * 2^14 < 2^31.
   EXPECT_EQ(qgemm_max_k(8, 8), 131071);
-  // An int8 zero point widens the effective operand to 9 bits.
+  // 9-bit operands: k * 2^16 < 2^31.
   EXPECT_EQ(qgemm_max_k(9, 9), 32767);
   EXPECT_GE(qgemm_max_k(2, 2), (std::int64_t{1} << 29) - 1);
 }
@@ -607,7 +591,6 @@ TEST(QGemmThreads, DeterministicAcrossThreadCounts) {
   const auto a = random_i8(rng, m * k);
   const auto b = random_i8(rng, k * n);
   QGemmRequant rq;
-  rq.multiplier = (std::int32_t{1} << 29) + 12345;
   rq.shift = 5;
   rq.qmin = -(std::int32_t{1} << 24);
   rq.qmax = (std::int32_t{1} << 24) - 1;
@@ -631,8 +614,8 @@ TEST(QGemmThreads, DeterministicAcrossThreadCounts) {
 TEST(QGemmGuards, RejectsOversizedKForInt8) {
   const std::int8_t dummy = 0;
   std::int32_t c = 0;
-  EXPECT_THROW(qgemm_i32(Trans::kN, Trans::kN, 1, 1, 200000, &dummy, 200000,
-                         &dummy, 1, &c, 1, false),
+  EXPECT_THROW(qgemm(Trans::kN, Trans::kN, 1, 1, 200000, &dummy, 200000,
+                     &dummy, 1, &c, 1, kRaw),
                qcaps::Error);
 }
 
@@ -657,12 +640,15 @@ TEST(QGemmGuards, RejectsBadRequantParameters) {
   const std::int8_t dummy = 0;
   std::int32_t c = 0;
   QGemmRequant rq;
-  rq.multiplier = 0;
-  EXPECT_THROW(
-      qgemm(Trans::kN, Trans::kN, 1, 1, 1, &dummy, 1, &dummy, 1, &c, 1, rq),
-      qcaps::Error);
-  rq.multiplier = kQGemmUnitMultiplier;
-  rq.shift = 40;
+  for (const int shift : {-31, 32, 40}) {
+    rq.shift = shift;
+    EXPECT_THROW(
+        qgemm(Trans::kN, Trans::kN, 1, 1, 1, &dummy, 1, &dummy, 1, &c, 1, rq),
+        qcaps::Error);
+  }
+  rq.shift = 0;
+  rq.qmin = 5;
+  rq.qmax = 4;
   EXPECT_THROW(
       qgemm(Trans::kN, Trans::kN, 1, 1, 1, &dummy, 1, &dummy, 1, &c, 1, rq),
       qcaps::Error);
