@@ -4,7 +4,6 @@
 #include <bit>
 #include <future>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -184,10 +183,6 @@ float QGraphEvaluator::evaluate_served(qengine::QuantizedGraph graph) {
   serve::ServerConfig scfg;
   scfg.max_batch = cfg_.eval_batch;
   scfg.num_workers = cfg_.workers;
-  // Partition the machine between the workers instead of oversubscribing
-  // each worker's OpenMP team over all cores.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw > 0) scfg.intra_op_threads = std::max(1, hw / cfg_.workers);
   scfg.batch_window = std::chrono::microseconds(100);
   server_->add_model(model,
                      std::make_unique<serve::QuantizedBackend>(

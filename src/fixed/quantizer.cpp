@@ -7,10 +7,9 @@
 
 namespace qcaps::fixed {
 
-void Quantizer::apply(tensor::Tensor& t) const {
+void Quantizer::apply(float* p, std::int64_t n,
+                      std::int64_t index_base) const {
   QCAPS_CHECK_MSG(fmt_.valid(), "invalid fixed format " << fmt_.to_string());
-  float* p = t.data();
-  const std::int64_t n = t.numel();
   const FixedFormat fmt = fmt_;
   if (scheme_ != RoundingScheme::kStochastic) {
     // Deterministic schemes inline to a branch-free grid snap the compiler
@@ -35,8 +34,8 @@ void Quantizer::apply(tensor::Tensor& t) const {
   const std::uint64_t seed = seed_;
 #pragma omp parallel for schedule(static) if (n > (1 << 15))
   for (std::int64_t i = 0; i < n; ++i) {
-    const float noise = common::u64_to_unit_float(
-        common::counter_hash(seed, static_cast<std::uint64_t>(i)));
+    const float noise = common::u64_to_unit_float(common::counter_hash(
+        seed, static_cast<std::uint64_t>(index_base + i)));
     p[i] = static_cast<float>(
         quantize_value(p[i], fmt, RoundingScheme::kStochastic, noise));
   }

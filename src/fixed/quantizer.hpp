@@ -25,7 +25,11 @@ class Quantizer {
   RoundingScheme scheme() const { return scheme_; }
 
   /// Quantize in place.
-  void apply(tensor::Tensor& t) const;
+  void apply(tensor::Tensor& t) const { apply(t.data(), t.numel(), 0); }
+  /// Quantize the span p[0, n) in place as elements index_base .. +n of a
+  /// larger tensor: SR noise is keyed by that whole-tensor index, so a
+  /// tensor quantized span by span gets the same bits as in one call.
+  void apply(float* p, std::int64_t n, std::int64_t index_base) const;
   /// Out-of-place variant.
   tensor::Tensor quantized(const tensor::Tensor& t) const;
 

@@ -77,13 +77,14 @@ double layer_energy_pj(std::int64_t macs, int mac_bits, std::int64_t squash_ops,
 // paper-figure projections — e.g. a simulated systolic array's clock — to
 // real machine numbers instead of the placeholder 1 GHz defaults.
 
-/// Sustained multiply-accumulate rates in G MAC/s.
+/// Sustained multiply-accumulate rates in G MAC/s, with the default
+/// OpenMP team of the 4-vCPU AVX-512 VNNI host BENCH_kernels.json stamps.
 struct HostKernelRates {
-  double fp32_gemm = 40.8;     ///< BM_Matmul/256 (packed fp32, AVX-512 tier)
-  double int8_gemm = 108.5;    ///< BM_QGemm/256 (qgemm int8 VNNI tier)
-  double conv_fp32 = 18.8;     ///< BM_Conv2d/64 (fused im2col conv)
-  double routing_fp32 = 9.8;   ///< BM_RoutingFp32/288 (caps kernels)
-  double routing_quant = 2.0;  ///< BM_RoutingQuantized/288 (fake-quant path)
+  double fp32_gemm = 124.9;     ///< BM_Matmul/256 (packed fp32, AVX-512 tier)
+  double int8_gemm = 164.1;     ///< BM_QGemm/256 (qgemm int8 VNNI tier)
+  double conv_fp32 = 74.4;      ///< BM_Conv2d/64 (fused im2col conv)
+  double routing_fp32 = 40.1;   ///< BM_RoutingFp32/288 (caps kernels)
+  double routing_quant = 10.0;  ///< BM_RoutingQuantized/288 (fake-quant path)
 };
 
 /// The committed BENCH_kernels.json numbers.

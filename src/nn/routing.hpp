@@ -8,11 +8,12 @@
 //     s_j = Σ_i c_ij û_j|i                 (preactivation)
 //     v_j = squash(s_j)                    (Eq. 2)
 //     a_ij = v_j · û_j|i ;  b += a         (agreement, skipped after last)
-// Logits/couplings stay i-major [R, Nin, Nout] (softmax normalizes over the
-// contiguous Nout axis). Both contractions run on the runtime-dispatched
-// batched kernels in tensor/caps_kernels.{hpp,cpp}; when no quantization
-// point sits in between, the weighted sum fuses with the squash and the
-// agreement with the logit update.
+// Logits b, couplings c and agreements a are j-major too, [R, Nout, Nin]:
+// each (r, j) slab is a contiguous Nin-vector, and the softmax over Nout
+// runs as tensor::softmax_rows_t. Both contractions run on the
+// runtime-dispatched kernels in tensor/caps_kernels.{hpp,cpp}; when no
+// quantization point sits in between, the weighted sum fuses with the
+// squash and the agreement with the logit update.
 //
 // Quantization points follow paper Fig. 9: û, c, v, a carry the activation
 // format Qa; b (before softmax) and s (before squash) are quantized harder
@@ -48,20 +49,16 @@ class DynamicRouting {
   /// keep_tape forward first.
   tensor::Tensor backward(const tensor::Tensor& grad_v);
 
-  /// Coupling coefficients of the final iteration, [R, Nin, Nout]
+  /// Coupling coefficients of the final iteration, [R, Nout, Nin]
   /// (for tests/inspection).
   const tensor::Tensor& last_coupling() const { return last_c_; }
 
  private:
-  /// Quantizer-free forward: per-sample fusion keeps each votes slab
-  /// cache-resident across all iterations (one memory stream total).
-  tensor::Tensor forward_fused(const tensor::Tensor& votes, int iterations,
-                               bool keep_tape);
-
   int iters_ = 0;
   tensor::Tensor votes_;
   tensor::Tensor last_c_;
-  std::vector<tensor::Tensor> c_tape_;  // post-softmax (quantized) couplings
+  std::vector<tensor::Tensor> c_tape_;  // post-softmax (quantized) couplings,
+                                        // [R, Nout, Nin]
   std::vector<tensor::Tensor> s_tape_;  // pre-squash inputs (quantized)
   std::vector<tensor::Tensor> v_tape_;  // post-squash outputs (quantized)
 };

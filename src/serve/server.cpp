@@ -28,7 +28,15 @@ void InferenceServer::add_model(const std::string& name,
   QCAPS_CHECK_MSG(pools_.find(name) == pools_.end(),
                   "model '" << name << "' is already registered");
 
-  auto pool = std::make_unique<ModelPool>(cfg);
+  // The one place the thread split is decided: by default the workers
+  // partition this thread's OpenMP team instead of each spanning it whole.
+  ServerConfig resolved = cfg;
+#ifdef _OPENMP
+  if (resolved.intra_op_threads == 0)
+    resolved.intra_op_threads =
+        std::max(1, omp_get_max_threads() / cfg.num_workers);
+#endif
+  auto pool = std::make_unique<ModelPool>(resolved);
   // Build every replica before any worker runs: clone() reads the prototype,
   // which must not be concurrently executing a forward pass.
   pool->replicas.push_back(std::move(backend));

@@ -64,8 +64,8 @@ struct ServerConfig {
   std::chrono::microseconds batch_window{200};
   /// Worker threads (model replicas) for this model.
   int num_workers = 1;
-  /// OpenMP threads each worker's kernels may use; 0 keeps the runtime
-  /// default. With several workers, split the cores between them.
+  /// OpenMP threads each worker's kernels may use; 0 splits the caller's
+  /// team evenly: max(1, omp_get_max_threads() / num_workers) at add_model.
   int intra_op_threads = 0;
   /// Request-queue capacity; 0 = unbounded, otherwise push() blocks when
   /// full (backpressure instead of unbounded memory growth).

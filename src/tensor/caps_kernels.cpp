@@ -140,15 +140,6 @@ inline std::int64_t squash_gain_one(std::int64_t s, int qf) {
   return squash_gain_finish(s, y, e / 2, qf);
 }
 
-// Base offset of the couplings slab for flattened (r, j) index t. The legacy
-// layout is [r, nin, nout] (per-slab stride nout; the base picks column j of
-// sample r); the transposed layout [r, nout, nin] keeps each slab contiguous
-// (cstride == 1), which is how the transposed-batch softmax leaves them.
-inline std::int64_t coupling_base(std::int64_t t, std::int64_t nin,
-                                  std::int64_t nout, std::int64_t cstride) {
-  return cstride == 1 ? t * nin : (t / nout) * nin * nout + t % nout;
-}
-
 // ---- scalar tier -----------------------------------------------------------
 //
 // Plain loops over the j-major slabs; the portable fallback every non-AVX
@@ -164,107 +155,98 @@ inline void squash_row(const float* s, float* v, std::int64_t d, float eps) {
 }
 
 inline void ws_slab(const float* ur, const float* cs, float* srow,
-                    std::int64_t nin, std::int64_t cstride, std::int64_t d) {
+                    std::int64_t nin, std::int64_t d) {
   std::fill(srow, srow + d, 0.0f);
   for (std::int64_t i = 0; i < nin; ++i) {
-    const float cij = cs[i * cstride];
+    const float cij = cs[i];
     const float* uv = ur + i * d;
     for (std::int64_t k = 0; k < d; ++k) srow[k] += cij * uv[k];
   }
 }
 
 void ws(const float* u, const float* c, float* s, std::int64_t nin,
-        std::int64_t nout, std::int64_t cstride, std::int64_t d,
-        std::int64_t t0, std::int64_t t1) {
+        std::int64_t d, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t)
-    ws_slab(u + t * nin * d, c + coupling_base(t, nin, nout, cstride),
-            s + t * d, nin, cstride, d);
+    ws_slab(u + t * nin * d, c + t * nin, s + t * d, nin, d);
 }
 
 void ws_squash(const float* u, const float* c, float* s, float* v,
-               std::int64_t nin, std::int64_t nout, std::int64_t cstride,
-               std::int64_t d, float eps, std::int64_t t0, std::int64_t t1) {
+               std::int64_t nin, std::int64_t d, float eps, std::int64_t t0,
+               std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     float* srow = s + t * d;
-    ws_slab(u + t * nin * d, c + coupling_base(t, nin, nout, cstride), srow,
-            nin, cstride, d);
+    ws_slab(u + t * nin * d, c + t * nin, srow, nin, d);
     squash_row(srow, v + t * d, d, eps);
   }
 }
 
 inline void agree_slab(const float* ur, const float* vrow, float* os,
-                       std::int64_t nin, std::int64_t cstride, std::int64_t d,
-                       bool accumulate) {
+                       std::int64_t nin, std::int64_t d, bool accumulate) {
   for (std::int64_t i = 0; i < nin; ++i) {
     const float* uv = ur + i * d;
     float acc = 0.0f;
     for (std::int64_t k = 0; k < d; ++k) acc += uv[k] * vrow[k];
     if (accumulate)
-      os[i * cstride] += acc;
+      os[i] += acc;
     else
-      os[i * cstride] = acc;
+      os[i] = acc;
   }
 }
 
 void agree(const float* u, const float* v, float* out, std::int64_t nin,
-           std::int64_t nout, std::int64_t cstride, std::int64_t d,
-           bool accumulate, std::int64_t t0, std::int64_t t1) {
+           std::int64_t d, bool accumulate, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t)
-    agree_slab(u + t * nin * d, v + t * d,
-               out + coupling_base(t, nin, nout, cstride), nin, cstride, d,
-               accumulate);
+    agree_slab(u + t * nin * d, v + t * d, out + t * nin, nin, d, accumulate);
 }
 
 void iter_fused(const float* u, const float* c, float* s, float* v, float* b,
-                std::int64_t nin, std::int64_t nout, std::int64_t cstride,
-                std::int64_t d, float eps, std::int64_t t0, std::int64_t t1) {
+                std::int64_t nin, std::int64_t d, float eps, std::int64_t t0,
+                std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     const float* ur = u + t * nin * d;
-    const std::int64_t cbase = coupling_base(t, nin, nout, cstride);
     float* srow = s + t * d;
     float* vrow = v + t * d;
-    ws_slab(ur, c + cbase, srow, nin, cstride, d);
+    ws_slab(ur, c + t * nin, srow, nin, d);
     squash_row(srow, vrow, d, eps);
-    agree_slab(ur, vrow, b + cbase, nin, cstride, d, /*accumulate=*/true);
+    agree_slab(ur, vrow, b + t * nin, nin, d, /*accumulate=*/true);
   }
 }
 
 void ws_bwd(const float* u, const float* c, const float* gs, float* gc,
-            float* gu, std::int64_t nin, std::int64_t nout, std::int64_t d,
-            std::int64_t t0, std::int64_t t1) {
+            float* gu, std::int64_t nin, std::int64_t d, std::int64_t t0,
+            std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     const float* ur = u + t * nin * d;
     const float* gsrow = gs + t * d;
-    const std::int64_t cbase = (t / nout) * nin * nout + t % nout;
-    const float* cs = c + cbase;
-    float* gcs = gc + cbase;
+    const float* cs = c + t * nin;
+    float* gcs = gc + t * nin;
     float* gur = gu + t * nin * d;
     for (std::int64_t i = 0; i < nin; ++i) {
       const float* uv = ur + i * d;
       float* guv = gur + i * d;
-      const float cij = cs[i * nout];
+      const float cij = cs[i];
       float dot = 0.0f;
       for (std::int64_t k = 0; k < d; ++k) {
         dot += uv[k] * gsrow[k];
         guv[k] += cij * gsrow[k];
       }
-      gcs[i * nout] = dot;
+      gcs[i] = dot;
     }
   }
 }
 
 void agree_bwd(const float* u, const float* v, const float* gb, float* gv,
-               float* gu, std::int64_t nin, std::int64_t nout, std::int64_t d,
-               std::int64_t t0, std::int64_t t1) {
+               float* gu, std::int64_t nin, std::int64_t d, std::int64_t t0,
+               std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     const float* ur = u + t * nin * d;
     const float* vrow = v + t * d;
-    const float* gbs = gb + (t / nout) * nin * nout + t % nout;
+    const float* gbs = gb + t * nin;
     float* gvrow = gv + t * d;
     float* gur = gu + t * nin * d;
     std::fill(gvrow, gvrow + d, 0.0f);
     for (std::int64_t i = 0; i < nin; ++i) {
-      const float gij = gbs[i * nout];
+      const float gij = gbs[i];
       const float* uv = ur + i * d;
       float* guv = gur + i * d;
       for (std::int64_t k = 0; k < d; ++k) {
@@ -399,14 +381,14 @@ __attribute__((target("avx2,fma"))) inline void squash_row(const float* s,
 
 __attribute__((target("avx2,fma"))) inline void ws_slab(
     const float* ur, const float* cs, float* srow, std::int64_t nin,
-    std::int64_t cstride, std::int64_t d) {
+    std::int64_t d) {
   if (d == 16) {
     __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
     __m256 b0 = _mm256_setzero_ps(), b1 = _mm256_setzero_ps();
     std::int64_t i = 0;
     for (; i + 2 <= nin; i += 2) {
-      const __m256 c0 = _mm256_broadcast_ss(cs + i * cstride);
-      const __m256 c1 = _mm256_broadcast_ss(cs + (i + 1) * cstride);
+      const __m256 c0 = _mm256_broadcast_ss(cs + i);
+      const __m256 c1 = _mm256_broadcast_ss(cs + i + 1);
       const float* u0 = ur + i * 16;
       a0 = _mm256_fmadd_ps(c0, _mm256_loadu_ps(u0), a0);
       a1 = _mm256_fmadd_ps(c0, _mm256_loadu_ps(u0 + 8), a1);
@@ -414,7 +396,7 @@ __attribute__((target("avx2,fma"))) inline void ws_slab(
       b1 = _mm256_fmadd_ps(c1, _mm256_loadu_ps(u0 + 24), b1);
     }
     if (i < nin) {
-      const __m256 c0 = _mm256_broadcast_ss(cs + i * cstride);
+      const __m256 c0 = _mm256_broadcast_ss(cs + i);
       a0 = _mm256_fmadd_ps(c0, _mm256_loadu_ps(ur + i * 16), a0);
       a1 = _mm256_fmadd_ps(c0, _mm256_loadu_ps(ur + i * 16 + 8), a1);
     }
@@ -425,24 +407,24 @@ __attribute__((target("avx2,fma"))) inline void ws_slab(
     __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
     std::int64_t i = 0;
     for (; i + 4 <= nin; i += 4) {
-      a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + i * cstride),
+      a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + i),
                            _mm256_loadu_ps(ur + i * 8), a0);
-      a1 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + (i + 1) * cstride),
+      a1 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + i + 1),
                            _mm256_loadu_ps(ur + i * 8 + 8), a1);
-      a2 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + (i + 2) * cstride),
+      a2 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + i + 2),
                            _mm256_loadu_ps(ur + i * 8 + 16), a2);
-      a3 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + (i + 3) * cstride),
+      a3 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + i + 3),
                            _mm256_loadu_ps(ur + i * 8 + 24), a3);
     }
     for (; i < nin; ++i)
-      a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + i * cstride),
+      a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + i),
                            _mm256_loadu_ps(ur + i * 8), a0);
     _mm256_storeu_ps(srow,
                      _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3)));
   } else {
     std::fill(srow, srow + d, 0.0f);
     for (std::int64_t i = 0; i < nin; ++i) {
-      const float cij = cs[i * cstride];
+      const float cij = cs[i];
       const __m256 cb = _mm256_set1_ps(cij);
       const float* uv = ur + i * d;
       std::int64_t k = 0;
@@ -454,32 +436,26 @@ __attribute__((target("avx2,fma"))) inline void ws_slab(
   }
 }
 
-__attribute__((target("avx2,fma"))) void ws(const float* u, const float* c,
-                                            float* s, std::int64_t nin,
-                                            std::int64_t nout,
-                                            std::int64_t cstride,
-                                            std::int64_t d, std::int64_t t0,
-                                            std::int64_t t1) {
+__attribute__((target("avx2,fma"))) void ws(
+    const float* u, const float* c, float* s, std::int64_t nin,
+    std::int64_t d, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t)
-    ws_slab(u + t * nin * d, c + coupling_base(t, nin, nout, cstride),
-            s + t * d, nin, cstride, d);
+    ws_slab(u + t * nin * d, c + t * nin, s + t * d, nin, d);
 }
 
 __attribute__((target("avx2,fma"))) void ws_squash(
     const float* u, const float* c, float* s, float* v, std::int64_t nin,
-    std::int64_t nout, std::int64_t cstride, std::int64_t d, float eps,
-    std::int64_t t0, std::int64_t t1) {
+    std::int64_t d, float eps, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     float* srow = s + t * d;
-    ws_slab(u + t * nin * d, c + coupling_base(t, nin, nout, cstride), srow,
-            nin, cstride, d);
+    ws_slab(u + t * nin * d, c + t * nin, srow, nin, d);
     squash_row(srow, v + t * d, d, eps);
   }
 }
 
 __attribute__((target("avx2,fma"))) inline void agree_slab(
     const float* ur, const float* vrow, float* os, std::int64_t nin,
-    std::int64_t cstride, std::int64_t d, bool accumulate) {
+    std::int64_t d, bool accumulate) {
   {
     if (d == 16) {
       const __m256 v0 = _mm256_loadu_ps(vrow);
@@ -494,11 +470,11 @@ __attribute__((target("avx2,fma"))) inline void agree_slab(
         const float dot0 = hsum8(d0);
         const float dot1 = hsum8(d1);
         if (accumulate) {
-          os[i * cstride] += dot0;
-          os[(i + 1) * cstride] += dot1;
+          os[i] += dot0;
+          os[i + 1] += dot1;
         } else {
-          os[i * cstride] = dot0;
-          os[(i + 1) * cstride] = dot1;
+          os[i] = dot0;
+          os[i + 1] = dot1;
         }
       }
       if (i < nin) {
@@ -506,18 +482,18 @@ __attribute__((target("avx2,fma"))) inline void agree_slab(
         d0 = _mm256_fmadd_ps(_mm256_loadu_ps(ur + i * 16 + 8), v1, d0);
         const float dot = hsum8(d0);
         if (accumulate)
-          os[i * cstride] += dot;
+          os[i] += dot;
         else
-          os[i * cstride] = dot;
+          os[i] = dot;
       }
     } else if (d == 8) {
       const __m256 v0 = _mm256_loadu_ps(vrow);
       for (std::int64_t i = 0; i < nin; ++i) {
         const float dot = hsum8(_mm256_mul_ps(_mm256_loadu_ps(ur + i * 8), v0));
         if (accumulate)
-          os[i * cstride] += dot;
+          os[i] += dot;
         else
-          os[i * cstride] = dot;
+          os[i] = dot;
       }
     } else {
       for (std::int64_t i = 0; i < nin; ++i) {
@@ -533,52 +509,43 @@ __attribute__((target("avx2,fma"))) inline void agree_slab(
         }
         for (; k < d; ++k) dot += uv[k] * vrow[k];
         if (accumulate)
-          os[i * cstride] += dot;
+          os[i] += dot;
         else
-          os[i * cstride] = dot;
+          os[i] = dot;
       }
     }
   }
 }
 
-__attribute__((target("avx2,fma"))) void agree(const float* u, const float* v,
-                                               float* out, std::int64_t nin,
-                                               std::int64_t nout,
-                                               std::int64_t cstride,
-                                               std::int64_t d, bool accumulate,
-                                               std::int64_t t0,
-                                               std::int64_t t1) {
+__attribute__((target("avx2,fma"))) void agree(
+    const float* u, const float* v, float* out, std::int64_t nin,
+    std::int64_t d, bool accumulate, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t)
-    agree_slab(u + t * nin * d, v + t * d,
-               out + coupling_base(t, nin, nout, cstride), nin, cstride, d,
-               accumulate);
+    agree_slab(u + t * nin * d, v + t * d, out + t * nin, nin, d, accumulate);
 }
 
 __attribute__((target("avx2,fma"))) void iter_fused(
     const float* u, const float* c, float* s, float* v, float* b,
-    std::int64_t nin, std::int64_t nout, std::int64_t cstride, std::int64_t d,
-    float eps, std::int64_t t0, std::int64_t t1) {
+    std::int64_t nin, std::int64_t d, float eps, std::int64_t t0,
+    std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     const float* ur = u + t * nin * d;
-    const std::int64_t cbase = coupling_base(t, nin, nout, cstride);
     float* srow = s + t * d;
     float* vrow = v + t * d;
-    ws_slab(ur, c + cbase, srow, nin, cstride, d);
+    ws_slab(ur, c + t * nin, srow, nin, d);
     squash_row(srow, vrow, d, eps);
-    agree_slab(ur, vrow, b + cbase, nin, cstride, d, /*accumulate=*/true);
+    agree_slab(ur, vrow, b + t * nin, nin, d, /*accumulate=*/true);
   }
 }
 
 __attribute__((target("avx2,fma"))) void ws_bwd(
     const float* u, const float* c, const float* gs, float* gc, float* gu,
-    std::int64_t nin, std::int64_t nout, std::int64_t d, std::int64_t t0,
-    std::int64_t t1) {
+    std::int64_t nin, std::int64_t d, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     const float* ur = u + t * nin * d;
     const float* gsrow = gs + t * d;
-    const std::int64_t cbase = (t / nout) * nin * nout + t % nout;
-    const float* cs = c + cbase;
-    float* gcs = gc + cbase;
+    const float* cs = c + t * nin;
+    float* gcs = gc + t * nin;
     float* gur = gu + t * nin * d;
     if (d == 16) {
       const __m256 g0 = _mm256_loadu_ps(gsrow);
@@ -588,8 +555,8 @@ __attribute__((target("avx2,fma"))) void ws_bwd(
         float* guv = gur + i * 16;
         __m256 dv = _mm256_mul_ps(_mm256_loadu_ps(uv), g0);
         dv = _mm256_fmadd_ps(_mm256_loadu_ps(uv + 8), g1, dv);
-        gcs[i * nout] = hsum8(dv);
-        const __m256 cb = _mm256_broadcast_ss(cs + i * nout);
+        gcs[i] = hsum8(dv);
+        const __m256 cb = _mm256_broadcast_ss(cs + i);
         _mm256_storeu_ps(guv, _mm256_fmadd_ps(cb, g0, _mm256_loadu_ps(guv)));
         _mm256_storeu_ps(guv + 8,
                          _mm256_fmadd_ps(cb, g1, _mm256_loadu_ps(guv + 8)));
@@ -599,15 +566,15 @@ __attribute__((target("avx2,fma"))) void ws_bwd(
       for (std::int64_t i = 0; i < nin; ++i) {
         const float* uv = ur + i * 8;
         float* guv = gur + i * 8;
-        gcs[i * nout] = hsum8(_mm256_mul_ps(_mm256_loadu_ps(uv), g0));
-        const __m256 cb = _mm256_broadcast_ss(cs + i * nout);
+        gcs[i] = hsum8(_mm256_mul_ps(_mm256_loadu_ps(uv), g0));
+        const __m256 cb = _mm256_broadcast_ss(cs + i);
         _mm256_storeu_ps(guv, _mm256_fmadd_ps(cb, g0, _mm256_loadu_ps(guv)));
       }
     } else {
       for (std::int64_t i = 0; i < nin; ++i) {
         const float* uv = ur + i * d;
         float* guv = gur + i * d;
-        const float cij = cs[i * nout];
+        const float cij = cs[i];
         const __m256 cb = _mm256_set1_ps(cij);
         float dot = 0.0f;
         std::int64_t k = 0;
@@ -625,7 +592,7 @@ __attribute__((target("avx2,fma"))) void ws_bwd(
           dot += uv[k] * gsrow[k];
           guv[k] += cij * gsrow[k];
         }
-        gcs[i * nout] = dot;
+        gcs[i] = dot;
       }
     }
   }
@@ -633,12 +600,11 @@ __attribute__((target("avx2,fma"))) void ws_bwd(
 
 __attribute__((target("avx2,fma"))) void agree_bwd(
     const float* u, const float* v, const float* gb, float* gv, float* gu,
-    std::int64_t nin, std::int64_t nout, std::int64_t d, std::int64_t t0,
-    std::int64_t t1) {
+    std::int64_t nin, std::int64_t d, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     const float* ur = u + t * nin * d;
     const float* vrow = v + t * d;
-    const float* gbs = gb + (t / nout) * nin * nout + t % nout;
+    const float* gbs = gb + t * nin;
     float* gvrow = gv + t * d;
     float* gur = gu + t * nin * d;
     if (d == 16) {
@@ -646,7 +612,7 @@ __attribute__((target("avx2,fma"))) void agree_bwd(
       const __m256 v1 = _mm256_loadu_ps(vrow + 8);
       __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
       for (std::int64_t i = 0; i < nin; ++i) {
-        const __m256 g = _mm256_broadcast_ss(gbs + i * nout);
+        const __m256 g = _mm256_broadcast_ss(gbs + i);
         const float* uv = ur + i * 16;
         float* guv = gur + i * 16;
         acc0 = _mm256_fmadd_ps(g, _mm256_loadu_ps(uv), acc0);
@@ -661,7 +627,7 @@ __attribute__((target("avx2,fma"))) void agree_bwd(
       const __m256 v0 = _mm256_loadu_ps(vrow);
       __m256 acc0 = _mm256_setzero_ps();
       for (std::int64_t i = 0; i < nin; ++i) {
-        const __m256 g = _mm256_broadcast_ss(gbs + i * nout);
+        const __m256 g = _mm256_broadcast_ss(gbs + i);
         const float* uv = ur + i * 8;
         float* guv = gur + i * 8;
         acc0 = _mm256_fmadd_ps(g, _mm256_loadu_ps(uv), acc0);
@@ -671,7 +637,7 @@ __attribute__((target("avx2,fma"))) void agree_bwd(
     } else {
       std::fill(gvrow, gvrow + d, 0.0f);
       for (std::int64_t i = 0; i < nin; ++i) {
-        const float gij = gbs[i * nout];
+        const float gij = gbs[i];
         const __m256 g = _mm256_set1_ps(gij);
         const float* uv = ur + i * d;
         float* guv = gur + i * d;
@@ -988,23 +954,23 @@ __attribute__((target("avx512f"))) inline __m256 fold256(__m512 x) {
 // though every AVX-512F CPU has it.
 __attribute__((target("avx512f,fma"))) inline void ws_slab(
     const float* ur, const float* cs, float* srow, std::int64_t nin,
-    std::int64_t cstride, std::int64_t d) {
+    std::int64_t d) {
   if (d == 16) {
     __m512 a0 = _mm512_setzero_ps(), a1 = _mm512_setzero_ps();
     __m512 a2 = _mm512_setzero_ps(), a3 = _mm512_setzero_ps();
     std::int64_t i = 0;
     for (; i + 4 <= nin; i += 4) {
       const float* u0 = ur + i * 16;
-      a0 = _mm512_fmadd_ps(_mm512_set1_ps(cs[i * cstride]), _mm512_loadu_ps(u0), a0);
-      a1 = _mm512_fmadd_ps(_mm512_set1_ps(cs[(i + 1) * cstride]),
+      a0 = _mm512_fmadd_ps(_mm512_set1_ps(cs[i]), _mm512_loadu_ps(u0), a0);
+      a1 = _mm512_fmadd_ps(_mm512_set1_ps(cs[i + 1]),
                            _mm512_loadu_ps(u0 + 16), a1);
-      a2 = _mm512_fmadd_ps(_mm512_set1_ps(cs[(i + 2) * cstride]),
+      a2 = _mm512_fmadd_ps(_mm512_set1_ps(cs[i + 2]),
                            _mm512_loadu_ps(u0 + 32), a2);
-      a3 = _mm512_fmadd_ps(_mm512_set1_ps(cs[(i + 3) * cstride]),
+      a3 = _mm512_fmadd_ps(_mm512_set1_ps(cs[i + 3]),
                            _mm512_loadu_ps(u0 + 48), a3);
     }
     for (; i < nin; ++i)
-      a0 = _mm512_fmadd_ps(_mm512_set1_ps(cs[i * cstride]),
+      a0 = _mm512_fmadd_ps(_mm512_set1_ps(cs[i]),
                            _mm512_loadu_ps(ur + i * 16), a0);
     _mm512_storeu_ps(srow,
                      _mm512_add_ps(_mm512_add_ps(a0, a1), _mm512_add_ps(a2, a3)));
@@ -1017,23 +983,23 @@ __attribute__((target("avx512f,fma"))) inline void ws_slab(
     std::int64_t i = 0;
     for (; i + 4 <= nin; i += 4) {
       const __m512 c01 =
-          _mm512_mask_blend_ps(0xFF00, _mm512_set1_ps(cs[i * cstride]),
-                               _mm512_set1_ps(cs[(i + 1) * cstride]));
+          _mm512_mask_blend_ps(0xFF00, _mm512_set1_ps(cs[i]),
+                               _mm512_set1_ps(cs[i + 1]));
       const __m512 c23 =
-          _mm512_mask_blend_ps(0xFF00, _mm512_set1_ps(cs[(i + 2) * cstride]),
-                               _mm512_set1_ps(cs[(i + 3) * cstride]));
+          _mm512_mask_blend_ps(0xFF00, _mm512_set1_ps(cs[i + 2]),
+                               _mm512_set1_ps(cs[i + 3]));
       a0 = _mm512_fmadd_ps(c01, _mm512_loadu_ps(ur + i * 8), a0);
       a1 = _mm512_fmadd_ps(c23, _mm512_loadu_ps(ur + (i + 2) * 8), a1);
     }
     __m256 acc = fold256(_mm512_add_ps(a0, a1));
     for (; i < nin; ++i)
-      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + i * cstride),
+      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(cs + i),
                             _mm256_loadu_ps(ur + i * 8), acc);
     _mm256_storeu_ps(srow, acc);
   } else {
     std::fill(srow, srow + d, 0.0f);
     for (std::int64_t i = 0; i < nin; ++i) {
-      const float cij = cs[i * cstride];
+      const float cij = cs[i];
       const __m512 cb = _mm512_set1_ps(cij);
       const float* uv = ur + i * d;
       std::int64_t k = 0;
@@ -1051,25 +1017,19 @@ __attribute__((target("avx512f,fma"))) inline void ws_slab(
   }
 }
 
-__attribute__((target("avx512f"))) void ws(const float* u, const float* c,
-                                           float* s, std::int64_t nin,
-                                           std::int64_t nout,
-                                           std::int64_t cstride,
-                                           std::int64_t d, std::int64_t t0,
-                                           std::int64_t t1) {
+__attribute__((target("avx512f"))) void ws(
+    const float* u, const float* c, float* s, std::int64_t nin,
+    std::int64_t d, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t)
-    ws_slab(u + t * nin * d, c + coupling_base(t, nin, nout, cstride),
-            s + t * d, nin, cstride, d);
+    ws_slab(u + t * nin * d, c + t * nin, s + t * d, nin, d);
 }
 
 __attribute__((target("avx512f"))) void ws_squash(
     const float* u, const float* c, float* s, float* v, std::int64_t nin,
-    std::int64_t nout, std::int64_t cstride, std::int64_t d, float eps,
-    std::int64_t t0, std::int64_t t1) {
+    std::int64_t d, float eps, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     float* srow = s + t * d;
-    ws_slab(u + t * nin * d, c + coupling_base(t, nin, nout, cstride), srow,
-            nin, cstride, d);
+    ws_slab(u + t * nin * d, c + t * nin, srow, nin, d);
     squash_row(srow, v + t * d, d, eps);
   }
 }
@@ -1090,7 +1050,6 @@ __attribute__((target("avx512f"))) inline __m128 dots4x16(const float* u0,
 
 __attribute__((target("avx512f"))) inline void scatter4(__m128 dots, float* os,
                                                         std::int64_t ib,
-                                                        std::int64_t cstride,
                                                         bool accumulate) {
   const float dot0 = _mm_cvtss_f32(dots);
   const float dot1 = _mm_cvtss_f32(_mm_movehdup_ps(dots));
@@ -1098,21 +1057,21 @@ __attribute__((target("avx512f"))) inline void scatter4(__m128 dots, float* os,
   const float dot3 =
       _mm_cvtss_f32(_mm_shuffle_ps(dots, dots, _MM_SHUFFLE(3, 3, 3, 3)));
   if (accumulate) {
-    os[ib * cstride] += dot0;
-    os[(ib + 1) * cstride] += dot1;
-    os[(ib + 2) * cstride] += dot2;
-    os[(ib + 3) * cstride] += dot3;
+    os[ib] += dot0;
+    os[ib + 1] += dot1;
+    os[ib + 2] += dot2;
+    os[ib + 3] += dot3;
   } else {
-    os[ib * cstride] = dot0;
-    os[(ib + 1) * cstride] = dot1;
-    os[(ib + 2) * cstride] = dot2;
-    os[(ib + 3) * cstride] = dot3;
+    os[ib] = dot0;
+    os[ib + 1] = dot1;
+    os[ib + 2] = dot2;
+    os[ib + 3] = dot3;
   }
 }
 
 __attribute__((target("avx512f"))) inline void agree_slab(
     const float* ur, const float* vrow, float* os, std::int64_t nin,
-    std::int64_t cstride, std::int64_t d, bool accumulate) {
+    std::int64_t d, bool accumulate) {
   {
     if (d == 16) {
       const __m512 v0 = _mm512_loadu_ps(vrow);
@@ -1122,17 +1081,17 @@ __attribute__((target("avx512f"))) inline void agree_slab(
       for (; i + 8 <= nin; i += 8) {
         const __m128 a = dots4x16(ur + i * 16, v0);
         const __m128 b = dots4x16(ur + (i + 4) * 16, v0);
-        scatter4(a, os, i, cstride, accumulate);
-        scatter4(b, os, i + 4, cstride, accumulate);
+        scatter4(a, os, i, accumulate);
+        scatter4(b, os, i + 4, accumulate);
       }
       for (; i + 4 <= nin; i += 4)
-        scatter4(dots4x16(ur + i * 16, v0), os, i, cstride, accumulate);
+        scatter4(dots4x16(ur + i * 16, v0), os, i, accumulate);
       for (; i < nin; ++i) {
         const float dot = hsum16(_mm512_mul_ps(_mm512_loadu_ps(ur + i * 16), v0));
         if (accumulate)
-          os[i * cstride] += dot;
+          os[i] += dot;
         else
-          os[i * cstride] = dot;
+          os[i] = dot;
       }
     } else {
       for (std::int64_t i = 0; i < nin; ++i) {
@@ -1149,67 +1108,58 @@ __attribute__((target("avx512f"))) inline void agree_slab(
         }
         const float dot = hsum16(acc);
         if (accumulate)
-          os[i * cstride] += dot;
+          os[i] += dot;
         else
-          os[i * cstride] = dot;
+          os[i] = dot;
       }
     }
   }
 }
 
-__attribute__((target("avx512f"))) void agree(const float* u, const float* v,
-                                              float* out, std::int64_t nin,
-                                              std::int64_t nout,
-                                              std::int64_t cstride,
-                                              std::int64_t d, bool accumulate,
-                                              std::int64_t t0,
-                                              std::int64_t t1) {
+__attribute__((target("avx512f"))) void agree(
+    const float* u, const float* v, float* out, std::int64_t nin,
+    std::int64_t d, bool accumulate, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t)
-    agree_slab(u + t * nin * d, v + t * d,
-               out + coupling_base(t, nin, nout, cstride), nin, cstride, d,
-               accumulate);
+    agree_slab(u + t * nin * d, v + t * d, out + t * nin, nin, d, accumulate);
 }
 
 __attribute__((target("avx512f"))) void iter_fused(
     const float* u, const float* c, float* s, float* v, float* b,
-    std::int64_t nin, std::int64_t nout, std::int64_t cstride, std::int64_t d,
-    float eps, std::int64_t t0, std::int64_t t1) {
+    std::int64_t nin, std::int64_t d, float eps, std::int64_t t0,
+    std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     const float* ur = u + t * nin * d;
-    const std::int64_t cbase = coupling_base(t, nin, nout, cstride);
     float* srow = s + t * d;
     float* vrow = v + t * d;
-    ws_slab(ur, c + cbase, srow, nin, cstride, d);
+    ws_slab(ur, c + t * nin, srow, nin, d);
     squash_row(srow, vrow, d, eps);
-    agree_slab(ur, vrow, b + cbase, nin, cstride, d, /*accumulate=*/true);
+    agree_slab(ur, vrow, b + t * nin, nin, d, /*accumulate=*/true);
   }
 }
 
 __attribute__((target("avx512f"))) void ws_bwd(
     const float* u, const float* c, const float* gs, float* gc, float* gu,
-    std::int64_t nin, std::int64_t nout, std::int64_t d, std::int64_t t0,
-    std::int64_t t1) {
+    std::int64_t nin, std::int64_t d, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     const float* ur = u + t * nin * d;
     const float* gsrow = gs + t * d;
-    const std::int64_t cbase = (t / nout) * nin * nout + t % nout;
-    const float* cs = c + cbase;
-    float* gcs = gc + cbase;
+    const float* cs = c + t * nin;
+    float* gcs = gc + t * nin;
     float* gur = gu + t * nin * d;
     if (d == 16) {
       const __m512 g0 = _mm512_loadu_ps(gsrow);
       for (std::int64_t i = 0; i < nin; ++i) {
         const float* uv = ur + i * 16;
         float* guv = gur + i * 16;
-        gcs[i * nout] = hsum16(_mm512_mul_ps(_mm512_loadu_ps(uv), g0));
-        const __m512 cb = _mm512_set1_ps(cs[i * nout]);
+        gcs[i] = hsum16(_mm512_mul_ps(_mm512_loadu_ps(uv), g0));
+        const __m512 cb = _mm512_set1_ps(cs[i]);
         _mm512_storeu_ps(guv, _mm512_fmadd_ps(cb, g0, _mm512_loadu_ps(guv)));
       }
     } else {
       for (std::int64_t i = 0; i < nin; ++i) {
         const float* uv = ur + i * d;
         float* guv = gur + i * d;
-        const __m512 cb = _mm512_set1_ps(cs[i * nout]);
+        const __m512 cb = _mm512_set1_ps(cs[i]);
         __m512 acc = _mm512_setzero_ps();
         std::int64_t k = 0;
         for (; k + 16 <= d; k += 16) {
@@ -1226,7 +1176,7 @@ __attribute__((target("avx512f"))) void ws_bwd(
               guv + k, m,
               _mm512_fmadd_ps(cb, gk, _mm512_maskz_loadu_ps(m, guv + k)));
         }
-        gcs[i * nout] = hsum16(acc);
+        gcs[i] = hsum16(acc);
       }
     }
   }
@@ -1234,12 +1184,11 @@ __attribute__((target("avx512f"))) void ws_bwd(
 
 __attribute__((target("avx512f"))) void agree_bwd(
     const float* u, const float* v, const float* gb, float* gv, float* gu,
-    std::int64_t nin, std::int64_t nout, std::int64_t d, std::int64_t t0,
-    std::int64_t t1) {
+    std::int64_t nin, std::int64_t d, std::int64_t t0, std::int64_t t1) {
   for (std::int64_t t = t0; t < t1; ++t) {
     const float* ur = u + t * nin * d;
     const float* vrow = v + t * d;
-    const float* gbs = gb + (t / nout) * nin * nout + t % nout;
+    const float* gbs = gb + t * nin;
     float* gvrow = gv + t * d;
     float* gur = gu + t * nin * d;
     if (d == 16) {
@@ -1247,8 +1196,8 @@ __attribute__((target("avx512f"))) void agree_bwd(
       __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
       std::int64_t i = 0;
       for (; i + 2 <= nin; i += 2) {
-        const __m512 ga = _mm512_set1_ps(gbs[i * nout]);
-        const __m512 gbv = _mm512_set1_ps(gbs[(i + 1) * nout]);
+        const __m512 ga = _mm512_set1_ps(gbs[i]);
+        const __m512 gbv = _mm512_set1_ps(gbs[i + 1]);
         const float* u0 = ur + i * 16;
         float* gu0 = gur + i * 16;
         acc0 = _mm512_fmadd_ps(ga, _mm512_loadu_ps(u0), acc0);
@@ -1258,7 +1207,7 @@ __attribute__((target("avx512f"))) void agree_bwd(
                          _mm512_fmadd_ps(gbv, v0, _mm512_loadu_ps(gu0 + 16)));
       }
       if (i < nin) {
-        const __m512 ga = _mm512_set1_ps(gbs[i * nout]);
+        const __m512 ga = _mm512_set1_ps(gbs[i]);
         float* gu0 = gur + i * 16;
         acc0 = _mm512_fmadd_ps(ga, _mm512_loadu_ps(ur + i * 16), acc0);
         _mm512_storeu_ps(gu0, _mm512_fmadd_ps(ga, v0, _mm512_loadu_ps(gu0)));
@@ -1267,7 +1216,7 @@ __attribute__((target("avx512f"))) void agree_bwd(
     } else {
       std::fill(gvrow, gvrow + d, 0.0f);
       for (std::int64_t i = 0; i < nin; ++i) {
-        const __m512 g = _mm512_set1_ps(gbs[i * nout]);
+        const __m512 g = _mm512_set1_ps(gbs[i]);
         const float* uv = ur + i * d;
         float* guv = gur + i * d;
         std::int64_t k = 0;
@@ -1567,21 +1516,18 @@ __attribute__((target("avx512f"))) void gain_n(const std::int64_t* nsq,
 
 struct OpsTable {
   void (*ws)(const float*, const float*, float*, std::int64_t, std::int64_t,
-             std::int64_t, std::int64_t, std::int64_t, std::int64_t);
+             std::int64_t, std::int64_t);
   void (*ws_squash)(const float*, const float*, float*, float*, std::int64_t,
-                    std::int64_t, std::int64_t, std::int64_t, float,
-                    std::int64_t, std::int64_t);
+                    std::int64_t, float, std::int64_t, std::int64_t);
   void (*agree)(const float*, const float*, float*, std::int64_t, std::int64_t,
-                std::int64_t, std::int64_t, bool, std::int64_t, std::int64_t);
+                bool, std::int64_t, std::int64_t);
   void (*iter_fused)(const float*, const float*, float*, float*, float*,
-                     std::int64_t, std::int64_t, std::int64_t, std::int64_t,
-                     float, std::int64_t, std::int64_t);
+                     std::int64_t, std::int64_t, float, std::int64_t,
+                     std::int64_t);
   void (*ws_bwd)(const float*, const float*, const float*, float*, float*,
-                 std::int64_t, std::int64_t, std::int64_t, std::int64_t,
-                 std::int64_t);
+                 std::int64_t, std::int64_t, std::int64_t, std::int64_t);
   void (*agree_bwd)(const float*, const float*, const float*, float*, float*,
-                    std::int64_t, std::int64_t, std::int64_t, std::int64_t,
-                    std::int64_t);
+                    std::int64_t, std::int64_t, std::int64_t, std::int64_t);
   void (*softmax)(float*, std::int64_t, std::int64_t, std::int64_t);
   void (*softmax_t)(float*, std::int64_t, std::int64_t, std::int64_t,
                     std::int64_t);
@@ -1637,39 +1583,35 @@ void caps_reset_kernel() { g_ops = make_table(isa_default()); }
 
 void routing_weighted_sum(const float* u, const float* c, float* s,
                           std::int64_t r, std::int64_t nin, std::int64_t nout,
-                          std::int64_t d, bool c_transposed) {
-  const std::int64_t cstride = c_transposed ? 1 : nout;
+                          std::int64_t d) {
   run_ranges(r * nout, nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.ws(u, c, s, nin, nout, cstride, d, t0, t1);
+    g_ops.ws(u, c, s, nin, d, t0, t1);
   });
 }
 
 void routing_weighted_sum_squash(const float* u, const float* c, float* s,
                                  float* v, std::int64_t r, std::int64_t nin,
-                                 std::int64_t nout, std::int64_t d, float eps,
-                                 bool c_transposed) {
-  const std::int64_t cstride = c_transposed ? 1 : nout;
+                                 std::int64_t nout, std::int64_t d,
+                                 float eps) {
   run_ranges(r * nout, nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.ws_squash(u, c, s, v, nin, nout, cstride, d, eps, t0, t1);
+    g_ops.ws_squash(u, c, s, v, nin, d, eps, t0, t1);
   });
 }
 
 void routing_agreement(const float* u, const float* v, float* out,
                        std::int64_t r, std::int64_t nin, std::int64_t nout,
-                       std::int64_t d, bool accumulate, bool out_transposed) {
-  const std::int64_t cstride = out_transposed ? 1 : nout;
+                       std::int64_t d, bool accumulate) {
   run_ranges(r * nout, nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.agree(u, v, out, nin, nout, cstride, d, accumulate, t0, t1);
+    g_ops.agree(u, v, out, nin, d, accumulate, t0, t1);
   });
 }
 
 void routing_iteration_fused(const float* u, const float* c, float* s,
                              float* v, float* b, std::int64_t r,
                              std::int64_t nin, std::int64_t nout,
-                             std::int64_t d, float eps, bool c_transposed) {
-  const std::int64_t cstride = c_transposed ? 1 : nout;
+                             std::int64_t d, float eps) {
   run_ranges(r * nout, 2 * nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.iter_fused(u, c, s, v, b, nin, nout, cstride, d, eps, t0, t1);
+    g_ops.iter_fused(u, c, s, v, b, nin, d, eps, t0, t1);
   });
 }
 
@@ -1678,7 +1620,7 @@ void routing_weighted_sum_backward(const float* u, const float* c,
                                    std::int64_t r, std::int64_t nin,
                                    std::int64_t nout, std::int64_t d) {
   run_ranges(r * nout, 2 * nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.ws_bwd(u, c, gs, gc, gu, nin, nout, d, t0, t1);
+    g_ops.ws_bwd(u, c, gs, gc, gu, nin, d, t0, t1);
   });
 }
 
@@ -1687,7 +1629,7 @@ void routing_agreement_backward(const float* u, const float* v,
                                 std::int64_t r, std::int64_t nin,
                                 std::int64_t nout, std::int64_t d) {
   run_ranges(r * nout, 2 * nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.agree_bwd(u, v, gb, gv, gu, nin, nout, d, t0, t1);
+    g_ops.agree_bwd(u, v, gb, gv, gu, nin, d, t0, t1);
   });
 }
 

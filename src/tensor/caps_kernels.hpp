@@ -9,8 +9,10 @@
 //     u[R, Nout, Nin, D]   — per (r, j) slab U_j is a contiguous [Nin, D]
 //                            matrix, so both contractions walk unit-stride
 //                            D-vectors;
-//     c/b/a[R, Nin, Nout]  — couplings and logits stay i-major (softmax
-//                            normalizes over the contiguous Nout axis);
+//     c/b/a[R, Nout, Nin]  — couplings, logits and agreements are j-major
+//                            too: each (r, j) slab is a contiguous
+//                            Nin-vector, and the softmax over Nout runs
+//                            per sample through softmax_rows_t;
 //     s/v  [R, Nout, D]    — per-capsule rows, contiguous.
 //
 // Per (r, j) slab the weighted sum is a c-broadcast AXPY chain over U_j's
@@ -50,54 +52,43 @@ void caps_reset_kernel();
 
 // ---- routing forward -------------------------------------------------------
 
-/// s[r, j, :] = Σ_i c[r, i, j] * u[r, j, i, :]  (s is overwritten). With
-/// c_transposed the couplings are stored [r, nout, nin] — each (r, j) slab
-/// contiguous, as the transposed-batch softmax (softmax_rows_t) leaves them —
-/// instead of the legacy [r, nin, nout].
+/// s[r, j, :] = Σ_i c[r, j, i] * u[r, j, i, :]  (s is overwritten).
 void routing_weighted_sum(const float* u, const float* c, float* s,
                           std::int64_t r, std::int64_t nin, std::int64_t nout,
-                          std::int64_t d, bool c_transposed = false);
+                          std::int64_t d);
 
 /// Fused weighted sum + squash: also writes v[r, j, :] = squash(s[r, j, :])
 /// while the freshly accumulated s row is register/L1 resident. The squash
 /// is identical to nn::squash_last (gain n/(1+n^2), norm guarded by eps).
-/// c_transposed as in routing_weighted_sum.
 void routing_weighted_sum_squash(const float* u, const float* c, float* s,
                                  float* v, std::int64_t r, std::int64_t nin,
-                                 std::int64_t nout, std::int64_t d, float eps,
-                                 bool c_transposed = false);
+                                 std::int64_t nout, std::int64_t d, float eps);
 
-/// out[r, i, j] (+)= Σ_k u[r, j, i, k] * v[r, j, k]. With accumulate=true
+/// out[r, j, i] (+)= Σ_k u[r, j, i, k] * v[r, j, k]. With accumulate=true
 /// this is the fused agreement + logit update (out = b); with
 /// accumulate=false it materializes the agreement tensor a for a
-/// quantization point. With out_transposed the logit/agreement tensor is
-/// stored [r, nout, nin] (see routing_weighted_sum).
+/// quantization point.
 void routing_agreement(const float* u, const float* v, float* out,
                        std::int64_t r, std::int64_t nin, std::int64_t nout,
-                       std::int64_t d, bool accumulate,
-                       bool out_transposed = false);
+                       std::int64_t d, bool accumulate);
 
 /// Fully fused quantizer-free routing iteration: per (r, j) slab computes
-///   s[r, j, :] = Σ_i c[r, i, j] u[r, j, i, :]
+///   s[r, j, :] = Σ_i c[r, j, i] u[r, j, i, :]
 ///   v[r, j, :] = squash(s[r, j, :])
-///   b[r, i, j] += u[r, j, i, :] · v[r, j, :]
+///   b[r, j, i] += u[r, j, i, :] · v[r, j, :]
 /// in ONE pass over the votes slab — the agreement re-reads û from cache
 /// instead of streaming the tensor a second time, which matters once the
-/// votes outgrow L2 (DeepCaps/ShallowCaps head shapes). With c_transposed
-/// both c and b are stored [r, nout, nin] (see routing_weighted_sum), so the
-/// couplings a transposed-batch softmax produced feed straight in and the
-/// updated logits stay slab-contiguous for the next softmax_rows_t.
+/// votes outgrow L2 (DeepCaps/ShallowCaps head shapes).
 void routing_iteration_fused(const float* u, const float* c, float* s,
                              float* v, float* b, std::int64_t r,
                              std::int64_t nin, std::int64_t nout,
-                             std::int64_t d, float eps,
-                             bool c_transposed = false);
+                             std::int64_t d, float eps);
 
 // ---- routing backward ------------------------------------------------------
 
 /// Backward of the weighted sum:
-///   gc[r, i, j]    = Σ_k u[r, j, i, k] * gs[r, j, k]   (overwritten)
-///   gu[r, j, i, :] += c[r, i, j] * gs[r, j, :]          (accumulated)
+///   gc[r, j, i]    = Σ_k u[r, j, i, k] * gs[r, j, k]   (overwritten)
+///   gu[r, j, i, :] += c[r, j, i] * gs[r, j, :]          (accumulated)
 void routing_weighted_sum_backward(const float* u, const float* c,
                                    const float* gs, float* gc, float* gu,
                                    std::int64_t r, std::int64_t nin,
@@ -105,8 +96,8 @@ void routing_weighted_sum_backward(const float* u, const float* c,
 
 /// Backward of the agreement + logit update (gb = dL/db flowing into
 /// a_ij = v_j · û_j|i):
-///   gv[r, j, :]    = Σ_i gb[r, i, j] * u[r, j, i, :]   (overwritten)
-///   gu[r, j, i, :] += gb[r, i, j] * v[r, j, :]          (accumulated)
+///   gv[r, j, :]    = Σ_i gb[r, j, i] * u[r, j, i, :]   (overwritten)
+///   gu[r, j, i, :] += gb[r, j, i] * v[r, j, :]          (accumulated)
 void routing_agreement_backward(const float* u, const float* v,
                                 const float* gb, float* gv, float* gu,
                                 std::int64_t r, std::int64_t nin,
@@ -115,9 +106,10 @@ void routing_agreement_backward(const float* u, const float* v,
 // ---- row nonlinearities ----------------------------------------------------
 //
 // Vectorized row kernels shared with tensor::softmax_last and
-// nn::squash_last — they sit inside every routing iteration. All tiers
-// (scalar included) evaluate exp through the same range-reduced polynomial,
-// so the tier only changes summation order, not the pointwise math.
+// nn::squash_last; softmax_rows_t and squash_rows sit inside every routing
+// iteration. All tiers (scalar included) evaluate exp through the same
+// range-reduced polynomial, so the tier only changes summation order, not
+// the pointwise math.
 
 /// In-place numerically stable softmax over each contiguous row of length d.
 void softmax_rows(float* x, std::int64_t rows, std::int64_t d);
@@ -127,8 +119,8 @@ void softmax_rows(float* x, std::int64_t rows, std::int64_t d);
 /// orientation the vector tiers put 8/16 logical rows in each register and
 /// walk j as strided vertical loads — the entire softmax is per-lane math
 /// with no horizontal reductions, which is the fast form when the caller's
-/// logits are naturally column-major (e.g. routing logits sliced per input
-/// capsule across a batch).
+/// logits are naturally column-major (e.g. one sample's [Nout, Nin] routing
+/// logits, normalized over Nout per input capsule).
 void softmax_rows_t(float* x, std::int64_t rows, std::int64_t d);
 
 /// v[row, :] = squash(s[row, :]) per contiguous row of length d.

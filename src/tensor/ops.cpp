@@ -149,30 +149,9 @@ Tensor softmax_last(const Tensor& a) {
   const std::int64_t d = a.dim(-1);
   const std::int64_t rows = a.numel() / d;
   Tensor out = a;
-  // Vectorized row kernel (runtime-dispatched, OpenMP over rows); it sits
-  // inside every dynamic-routing iteration.
+  // Vectorized row kernel (runtime-dispatched, OpenMP over rows).
   softmax_rows(out.data(), rows, d);
   return out;
-}
-
-Tensor softmax_last_backward(const Tensor& y, const Tensor& grad_y) {
-  check_same_shape(y, grad_y, "softmax_last_backward");
-  const std::int64_t d = y.dim(-1);
-  const std::int64_t rows = y.numel() / d;
-  Tensor grad_x = y;  // reuse as output buffer
-  float* gx = grad_x.data();
-  const float* py = y.data();
-  const float* gy = grad_y.data();
-#pragma omp parallel for schedule(static) if (rows * d > (1 << 14))
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* yr = py + r * d;
-    const float* gr = gy + r * d;
-    float dot = 0.0f;
-    for (std::int64_t j = 0; j < d; ++j) dot += yr[j] * gr[j];
-    float* out = gx + r * d;
-    for (std::int64_t j = 0; j < d; ++j) out[j] = yr[j] * (gr[j] - dot);
-  }
-  return grad_x;
 }
 
 Tensor l2_norm_last(const Tensor& a, float eps) {

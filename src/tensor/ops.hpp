@@ -57,9 +57,6 @@ std::vector<std::int64_t> argmax_rows(const Tensor& a);
 
 /// Numerically stable softmax over the last axis, out-of-place.
 Tensor softmax_last(const Tensor& a);
-/// Backward of softmax over the last axis: given y = softmax(x) and dL/dy,
-/// returns dL/dx.
-Tensor softmax_last_backward(const Tensor& y, const Tensor& grad_y);
 
 /// Euclidean norms over the last axis: [..., D] -> [...]. eps guards
 /// the gradient at exactly-zero vectors.

@@ -132,23 +132,23 @@ TEST(CapsKernels, TiersAgreeWithScalarOnRandomShapes) {
     const tensor::Tensor u =
         tensor::Tensor::randn({sh.r, sh.nout, sh.nin, sh.d}, rng);
     const tensor::Tensor c =
-        tensor::Tensor::uniform({sh.r, sh.nin, sh.nout}, rng, 0.0f, 1.0f);
+        tensor::Tensor::uniform({sh.r, sh.nout, sh.nin}, rng, 0.0f, 1.0f);
     const tensor::Tensor v =
         tensor::Tensor::randn({sh.r, sh.nout, sh.d}, rng, 0.0f, 0.5f);
     const tensor::Tensor gs =
         tensor::Tensor::randn({sh.r, sh.nout, sh.d}, rng, 0.0f, 0.5f);
     const tensor::Tensor gb =
-        tensor::Tensor::randn({sh.r, sh.nin, sh.nout}, rng, 0.0f, 0.5f);
+        tensor::Tensor::randn({sh.r, sh.nout, sh.nin}, rng, 0.0f, 0.5f);
 
     // Scalar references.
     ASSERT_TRUE(caps_force_kernel(Isa::kScalar));
     tensor::Tensor s_ref({sh.r, sh.nout, sh.d});
     routing_weighted_sum(u.data(), c.data(), s_ref.data(), sh.r, sh.nin,
                          sh.nout, sh.d);
-    tensor::Tensor a_ref({sh.r, sh.nin, sh.nout});
+    tensor::Tensor a_ref({sh.r, sh.nout, sh.nin});
     routing_agreement(u.data(), v.data(), a_ref.data(), sh.r, sh.nin, sh.nout,
                       sh.d, /*accumulate=*/false);
-    tensor::Tensor gc_ref({sh.r, sh.nin, sh.nout});
+    tensor::Tensor gc_ref({sh.r, sh.nout, sh.nin});
     tensor::Tensor gu_ref(u.shape());
     routing_weighted_sum_backward(u.data(), c.data(), gs.data(), gc_ref.data(),
                                   gu_ref.data(), sh.r, sh.nin, sh.nout, sh.d);
@@ -156,6 +156,30 @@ TEST(CapsKernels, TiersAgreeWithScalarOnRandomShapes) {
     tensor::Tensor gu2_ref(u.shape());
     routing_agreement_backward(u.data(), v.data(), gb.data(), gv_ref.data(),
                                gu2_ref.data(), sh.r, sh.nin, sh.nout, sh.d);
+    // The scalar references against plain loops over c, a, gc, gb as
+    // [r, nout, nin] and u as [r, nout, nin, d].
+    for (std::int64_t t = 0; t < sh.r * sh.nout; ++t) {
+      for (std::int64_t i = 0; i < sh.nin; ++i) {
+        const float* uv = u.data() + (t * sh.nin + i) * sh.d;
+        float dot_v = 0.0f, dot_gs = 0.0f;
+        for (std::int64_t k = 0; k < sh.d; ++k) {
+          dot_v += uv[k] * v[t * sh.d + k];
+          dot_gs += uv[k] * gs[t * sh.d + k];
+        }
+        ASSERT_NEAR(a_ref[t * sh.nin + i], dot_v, 1e-4f);
+        ASSERT_NEAR(gc_ref[t * sh.nin + i], dot_gs, 1e-4f);
+      }
+      for (std::int64_t k = 0; k < sh.d; ++k) {
+        float acc_s = 0.0f, acc_gv = 0.0f;
+        for (std::int64_t i = 0; i < sh.nin; ++i) {
+          const float uk = u[(t * sh.nin + i) * sh.d + k];
+          acc_s += c[t * sh.nin + i] * uk;
+          acc_gv += gb[t * sh.nin + i] * uk;
+        }
+        ASSERT_NEAR(s_ref[t * sh.d + k], acc_s, 1e-4f);
+        ASSERT_NEAR(gv_ref[t * sh.d + k], acc_gv, 1e-4f);
+      }
+    }
 
     for_each_tier([&](Isa k) {
       const float tol = 2e-4f;
@@ -172,7 +196,7 @@ TEST(CapsKernels, TiersAgreeWithScalarOnRandomShapes) {
       testutil::expect_tensor_near(vout, nn::squash_last(s2), 1e-5f,
                                    isa_name(k));
 
-      tensor::Tensor a({sh.r, sh.nin, sh.nout});
+      tensor::Tensor a({sh.r, sh.nout, sh.nin});
       routing_agreement(u.data(), v.data(), a.data(), sh.r, sh.nin, sh.nout,
                         sh.d, /*accumulate=*/false);
       testutil::expect_tensor_near(a, a_ref, tol, isa_name(k));
@@ -187,16 +211,16 @@ TEST(CapsKernels, TiersAgreeWithScalarOnRandomShapes) {
       // Fused iteration == weighted sum + squash + agreement update.
       tensor::Tensor fs({sh.r, sh.nout, sh.d});
       tensor::Tensor fv({sh.r, sh.nout, sh.d});
-      tensor::Tensor fb({sh.r, sh.nin, sh.nout});
+      tensor::Tensor fb({sh.r, sh.nout, sh.nin});
       routing_iteration_fused(u.data(), c.data(), fs.data(), fv.data(),
                               fb.data(), sh.r, sh.nin, sh.nout, sh.d, 1e-8f);
       testutil::expect_tensor_near(fs, s_ref, tol, isa_name(k));
-      tensor::Tensor want_b({sh.r, sh.nin, sh.nout});
+      tensor::Tensor want_b({sh.r, sh.nout, sh.nin});
       routing_agreement(u.data(), fv.data(), want_b.data(), sh.r, sh.nin,
                         sh.nout, sh.d, /*accumulate=*/false);
       testutil::expect_tensor_near(fb, want_b, 4e-4f, isa_name(k));
 
-      tensor::Tensor gc({sh.r, sh.nin, sh.nout});
+      tensor::Tensor gc({sh.r, sh.nout, sh.nin});
       tensor::Tensor gu(u.shape());
       routing_weighted_sum_backward(u.data(), c.data(), gs.data(), gc.data(),
                                     gu.data(), sh.r, sh.nin, sh.nout, sh.d);

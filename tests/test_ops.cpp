@@ -143,16 +143,6 @@ TEST(Softmax, OrderPreserved) {
   EXPECT_GT(y[0], y[2]);
 }
 
-TEST(Softmax, BackwardMatchesFiniteDifference) {
-  common::Rng rng(7);
-  const Tensor x = Tensor::randn({3, 5}, rng);
-  const testutil::WeightedSum head(x.shape());
-  auto loss = [&](const Tensor& in) { return head(softmax_last(in)); };
-  const Tensor y = softmax_last(x);
-  const Tensor analytic = softmax_last_backward(y, head.grad());
-  testutil::check_gradient(x, loss, analytic);
-}
-
 TEST(Norm, L2LastAxis) {
   Tensor a({1, 2}, {3.0f, 4.0f});
   const Tensor n = l2_norm_last(a, 0.0f);

@@ -5,6 +5,7 @@
 // produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -82,6 +83,25 @@ TEST(Quantizer, ParallelPathMatchesSerial) {
   const tensor::Tensor qb = q.quantized(big);
   const tensor::Tensor qs = q.quantized(small);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(qb[i], qs[i]);
+}
+
+TEST(Quantizer, SpansWithIndexBaseMatchWholeTensor) {
+  // Quantizing a tensor span by span, each span at its offset, must give
+  // the whole-tensor bits under every scheme (SR noise is index-keyed).
+  common::Rng rng(7);
+  const tensor::Tensor x = tensor::Tensor::randn({1000}, rng);
+  for (RoundingScheme scheme :
+       {RoundingScheme::kTruncation, RoundingScheme::kRoundToNearest,
+        RoundingScheme::kStochastic}) {
+    const Quantizer q(FixedFormat(1, 5), scheme, 9);
+    const tensor::Tensor whole = q.quantized(x);
+    tensor::Tensor spans = x;
+    for (std::int64_t base = 0; base < 1000; base += 300)
+      q.apply(spans.data() + base, std::min<std::int64_t>(300, 1000 - base),
+              base);
+    for (std::int64_t i = 0; i < 1000; ++i)
+      ASSERT_EQ(spans[i], whole[i]) << scheme_name(scheme) << " " << i;
+  }
 }
 
 class ErrorVsBits : public ::testing::TestWithParam<int> {};

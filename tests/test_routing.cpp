@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/rng.hpp"
 #include "nn/routing.hpp"
@@ -55,11 +60,13 @@ TEST(Routing, CouplingsFormDistributionOverOutputs) {
   DynamicRouting r;
   r.forward(votes, 3, false, RoutingQuantPoints{});
   const tensor::Tensor& c = r.last_coupling();
-  ASSERT_EQ(c.shape(), (tensor::Shape{2, 7, 5}));
-  for (std::int64_t row = 0; row < 2 * 7; ++row) {
-    float sum = 0.0f;
-    for (std::int64_t j = 0; j < 5; ++j) sum += c[row * 5 + j];
-    EXPECT_NEAR(sum, 1.0f, 1e-5f);
+  ASSERT_EQ(c.shape(), (tensor::Shape{2, 5, 7}));  // [R, Nout, Nin]
+  for (std::int64_t b = 0; b < 2; ++b) {
+    for (std::int64_t i = 0; i < 7; ++i) {
+      float sum = 0.0f;
+      for (std::int64_t j = 0; j < 5; ++j) sum += c.at({b, j, i});
+      EXPECT_NEAR(sum, 1.0f, 1e-5f);
+    }
   }
 }
 
@@ -80,7 +87,7 @@ TEST(Routing, AgreementConcentratesCouplings) {
   r.forward(votes, 3, false, RoutingQuantPoints{});
   const tensor::Tensor& c = r.last_coupling();
   for (std::int64_t i = 0; i < nin; ++i)
-    EXPECT_GT((c.at({0, i, 0})), 1.0f / static_cast<float>(nout) + 0.05f);
+    EXPECT_GT((c.at({0, 0, i})), 1.0f / static_cast<float>(nout) + 0.05f);
 }
 
 TEST(Routing, MoreIterationsSharpenAgreement) {
@@ -120,43 +127,75 @@ TEST(Routing, RejectsBadInputs) {
   EXPECT_THROW(r.backward(tensor::Tensor({1, 3, 4})), qcaps::Error);
 }
 
-TEST(Routing, TransposedNoTapePathLocksToTapePathOnEveryTier) {
-  // The no-tape forward runs the whole iteration loop on transposed
-  // ([Nout, Nin]) logits/couplings — softmax_rows_t plus unit-stride slab
-  // kernels — while keep_tape stays row-major for backward. On the scalar
-  // tier the two are the same arithmetic in the same order, so v and
-  // last_coupling must match bit for bit; the vector tiers share the
-  // pointwise exp but reduce the row-major softmax in vector order, so
-  // there the paths are locked to softmax tolerance.
+TEST(Routing, TapeAndNoTapeForwardsAgreeBitwiseOnEveryTier) {
+  // keep_tape only changes where c, s and v are stored, not the loop that
+  // computes them, so v and last_coupling must match bit for bit on every
+  // tier, with and without each rounding scheme on the Fig. 9 points.
   common::Rng rng(11);
   // nin = 37 exercises the avx2/avx512 softmax_rows_t tails; iterations = 3
   // routes every kernel (iteration_fused twice, weighted_sum_squash once).
   const tensor::Tensor votes = tensor::Tensor::randn({3, 5, 37, 8}, rng);
+  const fixed::RoundingScheme schemes[] = {
+      fixed::RoundingScheme::kRoundToNearest, fixed::RoundingScheme::kTruncation,
+      fixed::RoundingScheme::kStochastic};
   for (tensor::Isa k :
        {tensor::Isa::kScalar, tensor::Isa::kAvx2, tensor::Isa::kAvx512}) {
     if (!tensor::caps_force_kernel(k)) continue;
-    DynamicRouting taped, plain;
-    const tensor::Tensor vt = taped.forward(votes, 3, true, RoutingQuantPoints{});
-    const tensor::Tensor vn = plain.forward(votes, 3, false, RoutingQuantPoints{});
-    ASSERT_EQ(vt.shape(), vn.shape());
-    const tensor::Tensor& ct = taped.last_coupling();
-    const tensor::Tensor& cn = plain.last_coupling();
-    ASSERT_EQ(ct.shape(), cn.shape());
-    if (k == tensor::Isa::kScalar) {
+    for (int q = -1; q < 3; ++q) {
+      SCOPED_TRACE(std::string(tensor::caps_kernel_name()) + " " +
+                   (q < 0 ? "fp32" : fixed::scheme_name(schemes[q])));
+      RoutingQuantPoints qp;
+      fixed::Quantizer qa, qdr;
+      if (q >= 0) {
+        qa = fixed::Quantizer(fixed::FixedFormat(1, 6), schemes[q], 5);
+        qdr = fixed::Quantizer(fixed::FixedFormat(2, 4), schemes[q], 6);
+        qp.activations = &qa;
+        qp.routing = &qdr;
+      }
+      DynamicRouting taped, plain;
+      const tensor::Tensor vt = taped.forward(votes, 3, true, qp);
+      const tensor::Tensor vn = plain.forward(votes, 3, false, qp);
+      ASSERT_EQ(vt.shape(), vn.shape());
+      const tensor::Tensor& ct = taped.last_coupling();
+      const tensor::Tensor& cn = plain.last_coupling();
+      ASSERT_EQ(ct.shape(), cn.shape());
       for (std::int64_t i = 0; i < vt.numel(); ++i)
         ASSERT_EQ(vt[i], vn[i]) << "v flat " << i;
       for (std::int64_t i = 0; i < ct.numel(); ++i)
         ASSERT_EQ(ct[i], cn[i]) << "c flat " << i;
-    } else {
-      for (std::int64_t i = 0; i < vt.numel(); ++i)
-        ASSERT_NEAR(vt[i], vn[i], 2e-5f)
-            << tensor::caps_kernel_name() << " v flat " << i;
-      for (std::int64_t i = 0; i < ct.numel(); ++i)
-        ASSERT_NEAR(ct[i], cn[i], 2e-5f)
-            << tensor::caps_kernel_name() << " c flat " << i;
     }
     tensor::caps_reset_kernel();
   }
+}
+
+TEST(RoutingQuant, StochasticRoundingIndependentOfTeamSize) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  // SR noise is keyed by each element's index in the whole tensor, so the
+  // split of samples over the team must not change a single bit. The shape
+  // is large enough for the forward to open its parallel region.
+  common::Rng rng(12);
+  const tensor::Tensor votes =
+      tensor::Tensor::randn({8, 10, 37, 8}, rng, 0.0f, 0.5f);
+  const fixed::Quantizer qa(fixed::FixedFormat(1, 5),
+                            fixed::RoundingScheme::kStochastic, 3);
+  const fixed::Quantizer qdr(fixed::FixedFormat(2, 3),
+                             fixed::RoundingScheme::kStochastic, 4);
+  RoutingQuantPoints qp;
+  qp.activations = &qa;
+  qp.routing = &qdr;
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  DynamicRouting one;
+  const tensor::Tensor v1 = one.forward(votes, 3, false, qp);
+  omp_set_num_threads(3);
+  DynamicRouting three;
+  const tensor::Tensor v3 = three.forward(votes, 3, false, qp);
+  omp_set_num_threads(saved);
+  for (std::int64_t i = 0; i < v1.numel(); ++i)
+    ASSERT_EQ(v1[i], v3[i]) << "v flat " << i;
+#endif
 }
 
 class RoutingGrad : public ::testing::TestWithParam<int> {};

@@ -10,8 +10,13 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
@@ -504,6 +509,55 @@ TEST(InferenceServer, RemoveModelDrainsAndFreesTheName) {
   server.add_model("cand", std::make_unique<EchoBackend>());
   EXPECT_EQ(server.submit("cand", tiny_image(0.07f)).get().prediction.label, 7);
   server.shutdown();
+}
+
+// Records the OpenMP team size each forward would get.
+class TeamSizeBackend final : public serve::ModelBackend {
+ public:
+  const std::string& name() const override { return name_; }
+  std::vector<serve::Prediction> predict_batch(
+      const tensor::Tensor& images) override {
+#ifdef _OPENMP
+    std::lock_guard<std::mutex> lk(mu);
+    seen.push_back(omp_get_max_threads());
+#endif
+    return std::vector<serve::Prediction>(
+        static_cast<std::size_t>(images.dim(0)), serve::Prediction{0, 0.0f});
+  }
+  std::unique_ptr<serve::ModelBackend> clone() const override {
+    return std::make_unique<TeamSizeBackend>();
+  }
+
+  static inline std::mutex mu;
+  static inline std::vector<int> seen;
+
+ private:
+  std::string name_ = "team";
+};
+
+TEST(InferenceServer, DefaultIntraOpThreadsSplitsTheCallersTeam) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(4);
+  for (int workers : {1, 2}) {
+    TeamSizeBackend::seen.clear();
+    serve::InferenceServer server;
+    serve::ServerConfig cfg;
+    cfg.num_workers = workers;
+    server.add_model("team", std::make_unique<TeamSizeBackend>(), cfg);
+    std::vector<std::future<serve::InferenceResult>> futures;
+    for (int i = 0; i < 8; ++i)
+      futures.push_back(server.submit("team", tiny_image(0.0f)));
+    for (auto& f : futures) f.get();
+    server.shutdown();
+    ASSERT_FALSE(TeamSizeBackend::seen.empty());
+    for (int team : TeamSizeBackend::seen)
+      EXPECT_EQ(team, 4 / workers) << workers << " workers";
+  }
+  omp_set_num_threads(saved);
+#endif
 }
 
 TEST(InferenceServer, ServedFp32PredictionsMatchDirectModel) {
